@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: sieve, table1, table2, table3, estimate, calibrate, phi,
-audit, check.  Exit codes: 0 all good, 2 invariant failure (or reference
-mismatch under --strict-paper), 3 reference-value mismatches only.
+audit, check, reproduce.  Exit codes: 0 all good, 1 invalid input or an
+unwritable output (one ``error:`` line on stderr), 2 invariant failure (or
+reference mismatch under --strict-paper), 3 reference-value mismatches
+only.  ``reproduce`` writes every artifact to a directory and exits 0.
 
 Output goes to stdout unless --out is given; a relative --out path is
 resolved inside $TWINPRIMES_OUTDIR when that is set.  Identical
@@ -13,6 +15,8 @@ configurations produce byte-identical csv/json output regardless of
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +30,7 @@ from .report import (
 )
 
 OUTDIR_ENV = "TWINPRIMES_OUTDIR"
+DEFAULT_OUTDIR = "reproduction"
 
 
 def _parse_checkpoints(text: str) -> tuple[int, ...]:
@@ -40,7 +45,7 @@ def _parse_checkpoints(text: str) -> tuple[int, ...]:
     return xs
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -49,104 +54,57 @@ def _write(text: str, out: str | None) -> None:
         base = os.environ.get(OUTDIR_ENV)
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise SystemExit(f"cannot write {path}: {exc}")
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, default_limit: int = 10**6) -> None:
-    p.add_argument("--limit", type=int, default=default_limit,
-                   help=f"sieve upper bound (default {default_limit})")
-    p.add_argument("--threads", type=int, default=1,
-                   help="construction threads; never changes results")
-    p.add_argument("--segment-size", type=int, default=None,
-                   help="odd candidates per sieve window (tuning only)")
+# Every flag, declared once.  A flag whose dest is a RunConfig field feeds
+# _run_config, which takes RunConfig's own default for a flag a subcommand
+# does not have.
+_FLAGS = {
+    "--limit": dict(type=int, default=RunConfig.limit,
+                    help="sieve upper bound (default %(default)s)"),
+    "--threads": dict(type=int, default=RunConfig.threads,
+                      help="construction threads; never changes results"),
+    "--segment-size": dict(type=int, default=RunConfig.segment_size,
+                           help="odd candidates per sieve window (tuning only)"),
+    "--checkpoints": dict(type=_parse_checkpoints, default=None,
+                          help="comma-separated x values "
+                          "(default: reference rows)"),
+    "--format": dict(help="output format (default %(default)s)"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--hc": dict(dest="h_c", type=float, default=RunConfig.h_c,
+                 help="override the calibrated ratio constant"),
+    "--euler-pmax": dict(type=int, default=RunConfig.euler_pmax,
+                         help="Euler-product truncation bound"),
+    "--strict-paper": dict(action="store_true",
+                           help="treat reference mismatches as failures "
+                           "(exit 2)"),
+    "--x": dict(type=int, required=True),
+    "--y": dict(type=int, required=True),
+    "--r": dict(type=int, required=True),
+    "--outdir": dict(default=None,
+                     help=f"output directory (default ${OUTDIR_ENV}, "
+                     f"else {DEFAULT_OUTDIR})"),
+}
+_SHARED = ("--limit", "--threads", "--segment-size")
+_TABLE_FORMATS = ("csv", "json", "text")
+_REPORT_FORMATS = ("text", "json")
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _add_table(sub, name: str, title: str) -> None:
-    p = sub.add_parser(name, help=f"regenerate the {title}")
-    _add_common(p)
-    p.add_argument("--checkpoints", type=_parse_checkpoints, default=None,
-                   help="comma-separated x values (default: reference rows)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--hc", type=float, default=None,
-                   help="override the calibrated ratio constant")
-    p.add_argument("--euler-pmax", type=int, default=10**6)
-
-
-def _run_config(args, fmt: str = "text") -> RunConfig:
-    return RunConfig(
-        limit=args.limit,
-        checkpoints=getattr(args, "checkpoints", None),
-        h_c=getattr(args, "hc", None),
-        euler_pmax=getattr(args, "euler_pmax", 10**6),
-        fmt=fmt,
-        out=getattr(args, "out", None),
-        strict_paper=getattr(args, "strict_paper", False),
-        threads=args.threads,
-        segment_size=args.segment_size,
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twinprimes",
-        description="Exact prime / twin-prime counts, bound checks, and "
-        "reference-table audits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sieve", help="build a sieve and print its counts")
-    _add_common(p)
-
-    _add_table(sub, "table1", "hypothesis table (pi, pi2, pi(pi), ratio)")
-    _add_table(sub, "table2", "bounds table (A, pi2, B)")
-    _add_table(sub, "table3", "estimator table (h, pi2, pi2*, error)")
-
-    p = sub.add_parser("estimate", help="estimates and bounds at a single x")
-    _add_common(p)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--hc", type=float, default=None)
-    p.add_argument("--euler-pmax", type=int, default=10**6)
-
-    p = sub.add_parser("calibrate",
-                       help="mean density ratio h over checkpoints")
-    _add_common(p)
-    p.add_argument("--checkpoints", type=_parse_checkpoints, default=None)
-
-    p = sub.add_parser("phi", help="inclusion-exclusion count phi(y, r)")
-    _add_common(p, default_limit=0)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = sub.add_parser("audit",
-                       help="recompute and classify every reference cell")
-    _add_common(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--hc", type=float, default=None)
-    p.add_argument("--euler-pmax", type=int, default=10**6)
-    p.add_argument("--strict-paper", action="store_true",
-                   help="treat reference mismatches as failures (exit 2)")
-
-    p = sub.add_parser("check", help="run the full invariant suite")
-    _add_common(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--hc", type=float, default=None)
-    p.add_argument("--euler-pmax", type=int, default=10**6)
-    p.add_argument("--strict-paper", action="store_true",
-                   help="also fail (exit 2) on reference mismatches")
-
-    return parser
+def _run_config(args, **overrides) -> RunConfig:
+    """The RunConfig of a parsed command line; `overrides` replace fields."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    return RunConfig(**{**given, **overrides})
 
 
 def _cmd_sieve(args) -> int:
-    cfg = _run_config(args)
-    sieve = cfg.build()
+    sieve = _run_config(args).build()
     pi = sieve.count_primes_upto(sieve.limit)
     pi2 = sieve.count_twins_upto(sieve.limit)
     pi_pi = sieve.count_primes_upto(pi)
@@ -156,30 +114,24 @@ def _cmd_sieve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args, table_id: int) -> int:
-    cfg = _run_config(args, fmt=args.format)
-    sieve = cfg.build()
-    rows = {
-        1: report.table1_rows,
-        2: report.table2_rows,
-        3: report.table3_rows,
-    }[table_id](sieve, cfg)
-    _write(report.render_table(table_id, rows, cfg.fmt), cfg.out)
+def _cmd_table(args) -> int:
+    table_id = int(args.command[-1])
+    cfg = _run_config(args)
+    rows = report.table_rows(table_id, cfg.build(), cfg)
+    _write(report.render_table(table_id, rows, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    if args.x < 5:
-        raise SystemExit(f"--x must be >= 5, got {args.x}")
-    limit = max(args.limit, args.x)
-    cfg = RunConfig(limit=limit, h_c=args.hc, euler_pmax=args.euler_pmax,
-                    threads=args.threads, segment_size=args.segment_size)
+    x = args.x
+    if x < 5:
+        raise ValueError(f"--x must be >= 5, got {x}")
+    cfg = _run_config(args, limit=max(args.limit, x))
     sieve = cfg.build()
     est_cfg = cfg.estimator_config()
-    x = args.x
+    row = estimators.estimate_rows(sieve, [x], est_cfg)[0]
+    # EstimateRow keeps pi(x) only as the density pi(x)/x.
     pi = sieve.count_primes_upto(x)
-    pi2 = sieve.count_twins_upto(x)
-    star = estimators.twin_count_estimate(x, pi, est_cfg)
     lo, up = estimators.trost_bounds(x)
     a, b = estimators.sandwich_bounds(x)
     density = legendre.density_upper_bound(
@@ -191,11 +143,11 @@ def _cmd_estimate(args) -> int:
         file=sys.stderr,
     )
     _write(
-        f"x={x}\npi={pi}\npi2={pi2}\n"
-        f"h={estimators.density_ratio(x, pi, pi2):.6f}\n"
-        f"pi2_star={star}\n"
-        f"abs_delta={abs(pi2 - star)}\n"
-        f"rel_error={abs(pi2 - star) / pi2:.4f}\n"
+        f"x={x}\npi={pi}\npi2={row.pi2_x}\n"
+        f"h={row.h:.6f}\n"
+        f"pi2_star={row.pi2_star}\n"
+        f"abs_delta={row.abs_delta}\n"
+        f"rel_error={row.rel_error:.4f}\n"
         f"trost_lower={lo:.3f}\ntrost_upper={up:.3f}\n"
         f"bound_a={a:.3f}\nbound_b={b:.3f}\n"
         f"density_bound={density.bound:.6f}\n"
@@ -210,9 +162,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _run_config(args)
-    sieve = cfg.build()
-    xs = cfg.checkpoints or cfg.xs_for(3)
-    rows = estimators.estimate_rows(sieve, xs, cfg.estimator_config())
+    rows = report.table3_rows(cfg.build(), cfg)
     for row in rows:
         _write(f"x={row.x} h={row.h:.6f}\n", None)
     _write(f"h_c={estimators.mean_density_ratio(rows):.6f}\n", None)
@@ -225,11 +175,7 @@ def _cmd_phi(args) -> int:
     lines = [f"y={y}", f"r={r}", f"phi_recursive={phi}"]
     if r <= legendre.MAX_MOBIUS_R:
         lines.append(f"phi_mobius={legendre.phi_mobius(y, r)}")
-    limit = max(args.limit, y, 5)
-    sieve = report.build_sieve(
-        limit, threads=args.threads,
-        **({"segment_size": args.segment_size} if args.segment_size else {}),
-    )
+    sieve = _run_config(args, limit=max(args.limit, y, 5)).build()
     chk = legendre.check_phi_pi_bound(sieve, y, r)
     lines.append(f"pi_y={chk.pi_y}")
     lines.append(f"bound_ok={str(chk.bound_ok).lower()}")
@@ -237,35 +183,39 @@ def _cmd_phi(args) -> int:
     return EXIT_OK
 
 
+def _audit_exit(audit: report.AuditReport, cfg: RunConfig) -> int:
+    if audit.non_matching():
+        return EXIT_INVARIANT_FAILURE if cfg.strict_paper else EXIT_REFERENCE_MISMATCH
+    return EXIT_OK
+
+
 def _cmd_audit(args) -> int:
-    cfg = _run_config(args, fmt="text")
-    sieve = cfg.build()
-    audit = report.audit_against_reference(sieve, cfg)
+    cfg = _run_config(args)
+    audit = report.audit_against_reference(cfg.build(), cfg)
     text = (
         report.render_audit_json(audit)
         if args.format == "json"
         else report.render_audit_text(audit)
     )
     _write(text, args.out)
-    if audit.non_matching():
-        return EXIT_INVARIANT_FAILURE if cfg.strict_paper else EXIT_REFERENCE_MISMATCH
-    return EXIT_OK
+    return _audit_exit(audit, cfg)
 
 
 def _cmd_check(args) -> int:
-    cfg = _run_config(args, fmt="text")
+    cfg = _run_config(args)
     sieve = cfg.build()
     invariants = report.run_invariant_suite(sieve, cfg)
     audit = report.audit_against_reference(sieve, cfg)
     if args.format == "json":
-        import json as _json
-
         doc = {
-            "invariants": _json.loads(report.render_invariants_json(invariants)),
+            "invariants": {
+                "passed": invariants.passed,
+                "checks": [dataclasses.asdict(c) for c in invariants.checks],
+            },
             "audit_status_counts": audit.status_counts(),
             "audit_conflicts": len(audit.conflicts),
         }
-        _write(_json.dumps(doc, indent=2) + "\n", args.out)
+        _write(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         summary = (
             f"reference audit: {audit.status_counts()} "
@@ -274,27 +224,94 @@ def _cmd_check(args) -> int:
         _write(report.render_invariants_text(invariants) + summary, args.out)
     if not invariants.passed:
         return EXIT_INVARIANT_FAILURE
-    if audit.non_matching():
-        return EXIT_INVARIANT_FAILURE if cfg.strict_paper else EXIT_REFERENCE_MISMATCH
+    return _audit_exit(audit, cfg)
+
+
+def _cmd_reproduce(args) -> int:
+    # Absolute, so that _write does not resolve it a second time inside
+    # $TWINPRIMES_OUTDIR.
+    outdir = Path(
+        args.outdir or os.environ.get(OUTDIR_ENV) or DEFAULT_OUTDIR
+    ).absolute()
+    cfg = _run_config(args)
+    sieve = cfg.build()
+    for table_id in (1, 2, 3):
+        rows = report.table_rows(table_id, sieve, cfg)
+        for fmt in ("csv", "json"):
+            _write(report.render_table(table_id, rows, fmt),
+                   outdir / f"table{table_id}.{fmt}")
+        print(f"table{table_id}: {len(rows)} rows")
+
+    audit = report.audit_against_reference(sieve, cfg)
+    _write(report.render_audit_text(audit), outdir / "audit.txt")
+    _write(report.render_audit_json(audit), outdir / "audit.json")
+    counts = audit.status_counts()
+    print(
+        f"audit: {counts['match']} match / {counts['formatting-only']} "
+        f"formatting-only / {counts['mismatch']} mismatch / "
+        f"{len(audit.conflicts)} cross-table contradictions"
+    )
+
+    invariants = report.run_invariant_suite(sieve, cfg)
+    _write(report.render_invariants_text(invariants), outdir / "invariants.txt")
+    print("invariants:", "all passed" if invariants.passed
+          else "FAILURES (see invariants.txt)")
+    print(f"wrote {outdir}/")
     return EXIT_OK
+
+
+_TABLE = ("--checkpoints", "--format", "--out")
+
+# name: (help, handler, flags it reads beyond the shared ones)
+_COMMANDS = {
+    "sieve": ("build a sieve and print its counts", _cmd_sieve, ()),
+    "table1": ("regenerate the hypothesis table (pi, pi2, pi(pi), ratio)",
+               _cmd_table, _TABLE),
+    "table2": ("regenerate the bounds table (A, pi2, B)", _cmd_table, _TABLE),
+    "table3": ("regenerate the estimator table (h, pi2, pi2*, error)",
+               _cmd_table, _TABLE + ("--hc",)),
+    "estimate": ("estimates and bounds at a single x", _cmd_estimate,
+                 ("--x", "--hc", "--euler-pmax")),
+    "calibrate": ("mean density ratio h over checkpoints", _cmd_calibrate,
+                  ("--checkpoints",)),
+    "phi": ("inclusion-exclusion count phi(y, r)", _cmd_phi, ("--y", "--r")),
+    "audit": ("recompute and classify every reference cell", _cmd_audit,
+              ("--format", "--out", "--hc", "--strict-paper")),
+    "check": ("run the full invariant suite", _cmd_check,
+              ("--format", "--out", "--hc", "--euler-pmax", "--strict-paper")),
+    "reproduce": ("write all three tables (csv and json), the audit and the "
+                  "invariant report to a directory", _cmd_reproduce,
+                  ("--outdir",)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="twinprimes",
+        description="Exact prime / twin-prime counts, bound checks, and "
+        "reference-table audits.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _SHARED + flags:
+            kwargs = _FLAGS[flag]
+            if flag == "--format":
+                choices = (_TABLE_FORMATS if name.startswith("table")
+                           else _REPORT_FORMATS)
+                kwargs = dict(kwargs, choices=choices, default=choices[0])
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
+    # phi sieves only as far as --y unless asked for more.
+    sub.choices["phi"].set_defaults(limit=0)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "sieve": _cmd_sieve,
-        "table1": lambda a: _cmd_table(a, 1),
-        "table2": lambda a: _cmd_table(a, 2),
-        "table3": lambda a: _cmd_table(a, 3),
-        "estimate": _cmd_estimate,
-        "calibrate": _cmd_calibrate,
-        "phi": _cmd_phi,
-        "audit": _cmd_audit,
-        "check": _cmd_check,
-    }
     try:
-        return handlers[args.command](args)
-    except (ValueError, MemoryError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError, MemoryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,8 @@ always reported, independent of cell status.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -59,14 +60,9 @@ def load_reference_tables() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-_REF = None
-
-
+@cache
 def _ref() -> dict:
-    global _REF
-    if _REF is None:
-        _REF = load_reference_tables()
-    return _REF
+    return load_reference_tables()
 
 
 def reference_checkpoints(table_id: int) -> tuple[int, ...]:
@@ -90,8 +86,6 @@ class RunConfig:
     checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
     h_c: float | None = None
     euler_pmax: int = 10**6
-    fmt: str = "text"
-    out: str | None = None
     strict_paper: bool = False
     threads: int = 1
     segment_size: int | None = None
@@ -99,8 +93,6 @@ class RunConfig:
     def __post_init__(self):
         if self.limit < 5:
             raise ValueError(f"limit must be >= 5, got {self.limit}")
-        if self.fmt not in ("csv", "json", "text"):
-            raise ValueError(f"format must be csv, json or text, got {self.fmt!r}")
         if self.checkpoints is not None:
             bad = [x for x in self.checkpoints if not 5 <= x <= self.limit]
             if bad:
@@ -143,6 +135,12 @@ def table2_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[BoundsRow]:
 
 def table3_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[EstimateRow]:
     return estimators.estimate_rows(sieve, cfg.xs_for(3), cfg.estimator_config())
+
+
+def table_rows(table_id: int, sieve: PrimeSieve, cfg: RunConfig) -> list:
+    """Rows of table 1, 2 or 3 at cfg's checkpoints."""
+    builder = {1: table1_rows, 2: table2_rows, 3: table3_rows}[table_id]
+    return builder(sieve, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +320,9 @@ def audit_against_reference(sieve: PrimeSieve, cfg: RunConfig) -> AuditReport:
     """Recompute every reference cell (x <= limit) and classify agreement."""
     ref = _ref()
     report = AuditReport()
-    xs = {
-        t: [x for x in reference_checkpoints(t) if x <= sieve.limit]
-        for t in (1, 2, 3)
-    }
+    ref_cfg = replace(cfg, limit=sieve.limit, checkpoints=None)
     computed_rows = {
-        1: {r.x: r for r in
-            (counting.checkpoint_rows(sieve, xs[1]) if xs[1] else [])},
-        2: {r.x: r for r in estimators.bounds_rows(sieve, xs[2])},
-        3: {r.x: r for r in estimators.estimate_rows(
-            sieve, xs[3], cfg.estimator_config())},
+        t: {r.x: r for r in table_rows(t, sieve, ref_cfg)} for t in (1, 2, 3)
     }
     for table_id in (1, 2, 3):
         table = ref[f"table{table_id}"]
@@ -496,10 +487,6 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     ok = True
     detail = "pi and pi2 non-decreasing over the full range"
-    counts = np.cumsum(
-        np.unpackbits(sieve._bits, bitorder="little", count=sieve._n_odd))
-    if not np.all(np.diff(counts) >= 0):
-        ok, detail = False, "prime prefix counts decreased"
     probe = grid[:: max(1, len(grid) // 16)]
     for a, b in zip(probe, probe[1:]):
         if sieve.count_primes_upto(b) < sieve.count_primes_upto(a) or (
@@ -609,8 +596,3 @@ def render_invariants_text(report: InvariantReport) -> str:
         f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed"
     )
     return "\n".join(lines) + "\n"
-
-
-def render_invariants_json(report: InvariantReport) -> str:
-    doc = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
-    return json.dumps(doc, indent=2) + "\n"

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from twinprimes.cli import main
 
@@ -156,3 +159,77 @@ def test_invalid_arguments_exit_nonzero():
     assert "checkpoints" in proc.stderr
     proc = run_cli("table1", "--limit", "3")
     assert proc.returncode == 1
+
+
+CASES = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+SWEEP = json.loads((CASES / "cases.json").read_text(encoding="utf-8"))["sweep"]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_sweep_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("TWINPRIMES_OUTDIR", raising=False)
+    case = SWEEP[name]
+    assert main(case["argv"]) == case["exit"]
+    golden = (CASES / "golden" / case["golden"]).read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):
+    def stdout_of(*argv):
+        main([*argv, "--limit", "10000"])
+        return capsys.readouterr().out
+
+    assert main(["reproduce", "--limit", "10000",
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    expected = {"audit.txt": stdout_of("audit"),
+                "audit.json": stdout_of("audit", "--format", "json")}
+    for t in (1, 2, 3):
+        for fmt in ("csv", "json"):
+            expected[f"table{t}.{fmt}"] = stdout_of(f"table{t}", "--format", fmt)
+    check = stdout_of("check").splitlines(keepends=True)
+    assert check[-1].startswith("reference audit:")
+    expected["invariants.txt"] = "".join(check[:-1])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("table1", "--hc"),
+    ("table1", "--euler-pmax"),
+    ("table2", "--hc"),
+    ("table2", "--euler-pmax"),
+    ("table3", "--euler-pmax"),
+    ("audit", "--euler-pmax"),
+], ids=lambda v: v.lstrip("-"))
+def test_unread_flags_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--limit", "1000", flag, "200"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 200" in capsys.readouterr().err
+
+
+def test_bad_format_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--limit", "1000", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["mkdir", "write", "estimate_x", "phi_depth"])
+def test_failure_is_one_error_line(case, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "mkdir": ["table1", "--limit", "1000",
+                  "--out", str(blocker / "sub" / "x.csv")],
+        "write": ["table1", "--limit", "1000", "--out", str(tmp_path)],
+        "estimate_x": ["estimate", "--x", "3"],
+        "phi_depth": ["phi", "--y", "100000", "--r", "1500"],
+    }[case]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr

@@ -92,16 +92,17 @@ def test_checkpoint_rows_validation(sieve_1e4):
 
 
 def test_counts_never_decrease_dense(sieve_1e6):
-    bits = np.unpackbits(
-        sieve_1e6._bits, bitorder="little", count=sieve_1e6._n_odd
-    )
-    prime_cum = np.cumsum(bits)
+    is_prime = np.zeros(10**6 + 1, dtype=np.int64)
+    is_prime[sieve_1e6.primes_between(2, 10**6)] = 1
+    prime_cum = np.cumsum(is_prime)  # prime_cum[x] = pi(x)
     assert np.all(np.diff(prime_cum) >= 0)
-    twins = bits[:-1] & bits[1:]
-    assert np.all(np.diff(np.cumsum(twins)) >= 0)
+    # twin_cum[x] counts the pairs (p, p + 2) with p + 2 <= x
+    twin_cum = np.cumsum(np.concatenate(([0, 0], is_prime[:-2] & is_prime[2:])))
+    assert np.all(np.diff(twin_cum) >= 0)
     # tie the dense arrays back to the public API at a few points
     for x in (5, 17, 1000, 54321, 10**6):
-        assert count_primes(sieve_1e6, x) == 1 + int(prime_cum[(x - 1) // 2 - 1])
+        assert count_primes(sieve_1e6, x) == int(prime_cum[x])
+        assert count_twin_pairs(sieve_1e6, x) == int(twin_cum[x])
 
 
 def test_twin_count_never_exceeds_prime_count(sieve_1e6):

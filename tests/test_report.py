@@ -223,10 +223,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(limit=10**4, checkpoints=(4,))
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(fmt="yaml")
-
     def test_default_checkpoints_clamp_to_limit(self):
         cfg = RunConfig(limit=10**4)
         assert max(cfg.xs_for(1)) <= 10**4
