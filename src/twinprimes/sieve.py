@@ -1,13 +1,16 @@
 """Segmented, odd-only sieve of Eratosthenes with O(1) prefix counting.
 
 The sieve stores one bit per odd number in [3, limit] (2 is special-cased)
-plus per-byte cumulative popcounts, so prime and twin-pair counts up to any
-x <= limit are answered in constant time after construction.
+in little-endian 64-bit words plus per-word cumulative popcounts (a rank
+directory in the sense of Jacobson 1989 and Vigna 2008), so prime and
+twin-pair counts up to any x <= limit are answered in constant time after
+construction: one cumulative count plus the popcount of one masked word.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,9 +23,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # Construction refuses to allocate more than this unless overridden.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.int64
-)
+# Words shifted per step of twin derivation (512 KiB of scratch).
+_SHIFT_BLOCK = 1 << 16
 
 
 class SieveRangeError(ValueError):
@@ -57,43 +59,66 @@ def small_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _prefix_count(packed: np.ndarray, cum: np.ndarray, k: int) -> int:
-    """Number of set bits among bit indices [0, k) of a little-endian store."""
-    if k <= 0:
-        return 0
-    full, rem = divmod(k, 8)
-    count = int(cum[full])
+def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int) -> int:
+    """Number of set bits among bit indices [0, k) of a word store, k >= 0."""
+    j, rem = k >> 6, k & 63
+    count = cum.item(j)
     if rem:
-        count += int(_POPCOUNT[packed[full] & ((1 << rem) - 1)])
+        count += (words.item(j) & ((1 << rem) - 1)).bit_count()
     return count
+
+
+def _cumulative_counts(words: np.ndarray) -> np.ndarray:
+    """cum[j] = set bits in words[:j], for j in [0, len(words)]."""
+    cum = np.zeros(len(words) + 1, dtype=np.int64)
+    # Written into cum and summed in place: no per-word temporary.
+    np.bitwise_count(words, out=cum[1:])
+    np.cumsum(cum[1:], out=cum[1:])
+    return cum
+
+
+def _twin_words(words: np.ndarray) -> np.ndarray:
+    """Bit i is set iff bits i and i + 1 of words are; the bit past the end is 0."""
+    twins = np.empty_like(words)
+    for lo in range(0, len(words), _SHIFT_BLOCK):
+        w = words[lo : lo + _SHIFT_BLOCK + 1]  # one word of look-ahead
+        t = twins[lo : lo + _SHIFT_BLOCK]
+        np.right_shift(w[: len(t)], 1, out=t)
+        t[: len(w) - 1] |= w[1:] << 63
+        t &= w[: len(t)]
+    return twins
+
+
+def _worker_count(threads: int, n_segments: int) -> int:
+    """Threads the build really starts: never more than segments or CPUs."""
+    return max(1, min(threads, n_segments, os.cpu_count() or 1))
 
 
 class PrimeSieve:
     """Immutable primality store over [2, limit].
 
-    Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3; a second bit
-    array marks twin-pair lower members (bit i set iff 2*i+3 and 2*i+5 are
-    both prime).  Construction may fan segments out over threads; the result
-    is bit-identical to the sequential build, and instances are safe for
-    concurrent reads afterwards.
+    Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3 of a store of
+    little-endian uint64 words; a second word store marks twin-pair lower
+    members (bit i set iff 2*i+3 and 2*i+5 are both prime).  Each store has
+    per-word cumulative popcounts, one int64 per word.  Construction may fan
+    segments out over threads; the result is bit-identical to the sequential
+    build, and instances are safe for concurrent reads afterwards.
     """
 
     __slots__ = (
         "limit",
         "segment_size",
-        "_n_odd",
-        "_bits",
-        "_twin_bits",
+        "_words",
+        "_twin_words",
         "_prime_cum",
         "_twin_cum",
     )
 
-    def __init__(self, limit, segment_size, bits, twin_bits, prime_cum, twin_cum):
+    def __init__(self, limit, segment_size, words, twin_words, prime_cum, twin_cum):
         self.limit = limit
         self.segment_size = segment_size
-        self._n_odd = (limit - 1) // 2
-        self._bits = bits
-        self._twin_bits = twin_bits
+        self._words = words
+        self._twin_words = twin_words
         self._prime_cum = prime_cum
         self._twin_cum = twin_cum
 
@@ -111,7 +136,7 @@ class PrimeSieve:
         if n % 2 == 0:
             return False
         i = (n - 3) // 2
-        return bool((self._bits[i >> 3] >> (i & 7)) & 1)
+        return bool((self._words.item(i >> 6) >> (i & 63)) & 1)
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Strictly increasing array of all primes in [lo, hi]."""
@@ -129,7 +154,8 @@ class PrimeSieve:
         if a <= b:
             ia, ib = (a - 3) // 2, (b - 3) // 2
             lo_byte, hi_byte = ia >> 3, (ib >> 3) + 1
-            flags = np.unpackbits(self._bits[lo_byte:hi_byte], bitorder="little")
+            store = self._words.view(np.uint8)
+            flags = np.unpackbits(store[lo_byte:hi_byte], bitorder="little")
             window = flags[ia - 8 * lo_byte : ib - 8 * lo_byte + 1]
             idx = np.flatnonzero(window).astype(np.int64) + ia
             parts.append(2 * idx + 3)
@@ -140,24 +166,27 @@ class PrimeSieve:
     def count_primes_upto(self, x: int) -> int:
         """pi(x), exact, for 2 <= x <= limit."""
         self._check_range(x, "x")
-        return 1 + _prefix_count(self._bits, self._prime_cum, (x - 1) // 2)
+        return 1 + _prefix_count(self._words, self._prime_cum, (x - 1) // 2)
 
     def count_twins_upto(self, x: int) -> int:
         """Twin pairs (p, p+2) with p + 2 <= x, for 2 <= x <= limit."""
         self._check_range(x, "x")
         if x < 5:
             return 0
-        return _prefix_count(self._twin_bits, self._twin_cum, (x - 5) // 2 + 1)
+        return _prefix_count(self._twin_words, self._twin_cum, (x - 5) // 2 + 1)
 
 
 def _estimate_bytes(limit: int, segment_size: int, threads: int) -> int:
+    """Upper bound on the bytes a build allocates, every array counted at once."""
     n_odd = (limit - 1) // 2
-    n_bytes = (n_odd + 7) // 8
-    packed = 2 * n_bytes                 # prime bits + twin bits
-    cums = 2 * 8 * (n_bytes + 1)         # int64 cumulative popcounts
-    unpacked = 2 * n_odd                 # twin derivation scratch (bool)
-    buffers = max(1, threads) * segment_size
-    return packed + cums + unpacked + buffers
+    store = 8 * -(-n_odd // 64)                # one store of <u8 words
+    root = math.isqrt(limit)
+    base = root + 1 + 56 * (root // 2 + 1)     # flags, int64s, list of ints
+    window = segment_size + segment_size // 8  # bool window + packed bytes
+    workers = _worker_count(threads, -(-n_odd // segment_size))
+    shift = 8 * _SHIFT_BLOCK                   # one block of words shifted left
+    cums = 2 * (store + 8)                     # int64 per word, plus a total
+    return base + workers * window + 2 * store + shift + cums
 
 
 def build_sieve(
@@ -171,7 +200,8 @@ def build_sieve(
 
     segment_size is the number of odd candidates sieved per window (rounded
     up to a byte multiple); query answers do not depend on it.  threads > 1
-    sieves windows concurrently with bit-identical results.
+    sieves windows concurrently with bit-identical results, on at most one
+    thread per window and per CPU.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
@@ -186,15 +216,20 @@ def build_sieve(
         raise MemoryBudgetError(required, memory_budget)
 
     n_odd = (limit - 1) // 2
-    n_bytes = (n_odd + 7) // 8
     base = small_primes(math.isqrt(limit))
     odd_base = [int(p) for p in base if p > 2]
     n_segments = -(-n_odd // segment_size)
+    workers = _worker_count(threads, n_segments)
+    # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
+    # i // 8 of the same buffer, whatever the host's byte order.
+    words = np.zeros(-(-n_odd // 64), dtype="<u8")
+    store = words.view(np.uint8)
+    seg_bytes = segment_size // 8
 
-    def sieve_segment(k: int) -> np.ndarray:
+    def sieve_segment(k: int, seg: np.ndarray) -> None:
         lo_i = k * segment_size
         hi_i = min(lo_i + segment_size, n_odd)
-        seg = np.ones(segment_size, dtype=bool)
+        seg[:] = True
         if hi_i - lo_i < segment_size:
             seg[hi_i - lo_i :] = False
         lo_n = 2 * lo_i + 3
@@ -210,22 +245,28 @@ def build_sieve(
                 if start > hi_n:
                     continue
             seg[(start - lo_n) // 2 :: p] = False
-        return np.packbits(seg, bitorder="little")
+        out = store[k * seg_bytes : (k + 1) * seg_bytes]
+        out[:] = np.packbits(seg, bitorder="little")[: len(out)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(sieve_segment, range(n_segments)))
+    def sieve_segments(first: int) -> None:
+        # Every workers-th window from first on, in one reused buffer: the
+        # pool holds one task and one window per worker, not one per window.
+        seg = np.empty(segment_size, dtype=bool)
+        for k in range(first, n_segments, workers):
+            sieve_segment(k, seg)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(sieve_segments, range(workers)))  # re-raises
     else:
-        chunks = [sieve_segment(k) for k in range(n_segments)]
-    bits = np.concatenate(chunks)[:n_bytes]
+        sieve_segments(0)
 
-    flags = np.unpackbits(bits, bitorder="little", count=n_odd).view(bool)
-    twin_flags = flags[:-1] & flags[1:]
-    twin_bits = np.packbits(twin_flags, bitorder="little")
-
-    prime_cum = np.zeros(n_bytes + 1, dtype=np.int64)
-    np.cumsum(_POPCOUNT[bits], out=prime_cum[1:])
-    twin_cum = np.zeros(len(twin_bits) + 1, dtype=np.int64)
-    np.cumsum(_POPCOUNT[twin_bits], out=twin_cum[1:])
-
-    return PrimeSieve(limit, segment_size, bits, twin_bits, prime_cum, twin_cum)
+    twin_words = _twin_words(words)
+    return PrimeSieve(
+        limit,
+        segment_size,
+        words,
+        twin_words,
+        _cumulative_counts(words),
+        _cumulative_counts(twin_words),
+    )

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinprimes import MemoryBudgetError, SieveRangeError, build_sieve
+from twinprimes.sieve import _estimate_bytes, _worker_count
 
 import oracles
 
@@ -91,14 +94,34 @@ def test_segment_size_is_invisible_to_queries():
 def test_threaded_build_is_bit_identical():
     serial = build_sieve(10**6, threads=1)
     threaded = build_sieve(10**6, threads=4, segment_size=2**15)
-    assert np.array_equal(serial._bits, threaded._bits)
-    assert np.array_equal(serial._twin_bits, threaded._twin_bits)
+    assert np.array_equal(serial._words, threaded._words)
+    assert np.array_equal(serial._twin_words, threaded._twin_words)
+
+
+def test_worker_count_is_clamped_to_segments_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(10**9, 10**9) == 4
+    assert _worker_count(10**9, 3) == 3
+    assert _worker_count(1, 10**9) == 1
+    assert _worker_count(2, 10**9) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10**9, 10**9) == 1
+
+
+def test_estimate_counts_only_the_threads_that_start(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one = _estimate_bytes(10**8, 2**20, 1)
+    two = _estimate_bytes(10**8, 2**20, 2)
+    assert two > one
+    assert _estimate_bytes(10**8, 2**20, 10**9) == two
+    # a single window never starts a second thread
+    assert _estimate_bytes(10**5, 2**20, 10**9) == _estimate_bytes(10**5, 2**20, 1)
 
 
 def test_repeated_builds_are_deterministic():
     a = build_sieve(12345)
     b = build_sieve(12345)
-    assert np.array_equal(a._bits, b._bits)
+    assert np.array_equal(a._words, b._words)
 
 
 def test_concurrent_reads_agree_with_serial(sieve_1e5):
@@ -129,3 +152,36 @@ def test_primes_between_consistent_with_counts(sieve_1e4, lo, span):
         sieve_1e4.count_primes_upto(lo - 1) if lo > 2 else 0
     )
     assert len(ps) == expected
+
+
+def _assert_counts_match_oracles(sieve, pi, pi2):
+    for x in range(2, sieve.limit + 1):
+        assert sieve.count_primes_upto(x) == pi[x], x
+        assert sieve.count_twins_upto(x) == pi2[x], x
+        assert sieve.is_prime(x) == (pi[x] > pi[x - 1]), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(5, 5000))
+def test_word_index_counts_match_oracles(trial_pi_1e4, trial_twin_1e4, limit):
+    _assert_counts_match_oracles(build_sieve(limit), trial_pi_1e4, trial_twin_1e4)
+
+
+# Bit i stands for n = 2i + 3: bits 63, 64 and 65 are 129, 131 and 133.  At
+# 129 and 257 the odd count is 64 and 128, a whole number of words; 641 is a
+# whole number of words too and the lower member of the twin pair (641, 643).
+@pytest.mark.parametrize("limit", [127, 129, 130, 131, 133, 135, 257, 258, 641, 643])
+@pytest.mark.parametrize("segment_size", [8, 64, 2**20])
+def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size):
+    sieve = build_sieve(limit, segment_size=segment_size)
+    _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
+    # No bit is set past the last odd number, nor for a pair ending past
+    # limit: at 641 the last twin bit, for (641, 643), must be 0.
+    assert int(np.bitwise_count(sieve._words).sum()) + 1 == trial_pi_1e4[limit]
+    assert int(np.bitwise_count(sieve._twin_words).sum()) == trial_twin_1e4[limit]
+
+
+def test_twin_words_do_not_depend_on_the_shift_block(monkeypatch):
+    whole = build_sieve(5000)
+    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", 1)
+    assert np.array_equal(build_sieve(5000)._twin_words, whole._twin_words)
