@@ -10,7 +10,6 @@ from .counting import (
 from .estimators import (
     BoundsRow,
     EstimateRow,
-    EstimatorConfig,
     SandwichCheck,
     bounds_rows,
     check_density_ratio_bound,

@@ -69,8 +69,6 @@ _FLAGS = {
                     help="sieve upper bound (default %(default)s)"),
     "--threads": dict(type=int, default=RunConfig.threads,
                       help="construction threads; never changes results"),
-    "--segment-size": dict(type=int, default=RunConfig.segment_size,
-                           help="odd candidates per sieve window (tuning only)"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),
@@ -90,7 +88,7 @@ _FLAGS = {
                      help=f"output directory (default ${OUTDIR_ENV}, "
                      f"else {DEFAULT_OUTDIR})"),
 }
-_SHARED = ("--limit", "--threads", "--segment-size")
+_SHARED = ("--limit", "--threads")
 _TABLE_FORMATS = ("csv", "json", "text")
 _REPORT_FORMATS = ("text", "json")
 
@@ -128,18 +126,20 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--x must be >= 5, got {x}")
     cfg = _run_config(args, limit=max(args.limit, x))
     sieve = cfg.build()
-    est_cfg = cfg.estimator_config()
-    row = estimators.estimate_rows(sieve, [x], est_cfg)[0]
+    row = estimators.estimate_rows(sieve, [x], cfg.h_c)[0]
     # EstimateRow keeps pi(x) only as the density pi(x)/x.
     pi = sieve.count_primes_upto(x)
     lo, up = estimators.trost_bounds(x)
     a, b = estimators.sandwich_bounds(x)
     density = legendre.density_upper_bound(
-        sieve, legendre.DensityBoundParams(c=est_cfg.c_density, y=x)
+        sieve, legendre.DensityBoundParams(c=1.0, y=x)
     )
+    # Computed before the warning, so a refused pmax prints one error line.
+    hl_simple = estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
+    hl_product = estimators.hardy_littlewood_product(x, cfg.euler_pmax)
     print(
         "product estimate uses a truncated divergent trailing product "
-        f"(pmax={est_cfg.euler_pmax}); its value is truncation-relative",
+        f"(pmax={cfg.euler_pmax}); its value is truncation-relative",
         file=sys.stderr,
     )
     _write(
@@ -153,8 +153,7 @@ def _cmd_estimate(args) -> int:
         f"density_bound={density.bound:.6f}\n"
         f"density_actual={density.actual:.6f}\n"
         f"density_holds={str(density.holds).lower()}\n"
-        f"hl_simple={estimators.hardy_littlewood_simple(x, est_cfg):.3f}\n"
-        f"hl_product={estimators.hardy_littlewood_product(x, est_cfg):.3f}\n",
+        f"hl_simple={hl_simple:.3f}\nhl_product={hl_product:.3f}\n",
         None,
     )
     return EXIT_OK

@@ -24,7 +24,6 @@ import numpy as np
 
 from .sieve import PrimeSieve, small_primes
 
-LN2 = math.log(2)
 LN_1_5 = math.log(1.5)
 LN_1_6 = math.log(1.6)
 
@@ -32,31 +31,10 @@ LN_1_6 = math.log(1.6)
 # bound together with pi(x) > x/ln(x).
 H_RATIO_CAP = 5.12
 
+# Calibrated mean density ratio (overridable via `calibrate`) and the
+# truncation bound of every Euler product.
 DEFAULT_H_C = 1.325067
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs shared by the estimator family.
-
-    h_c          calibrated mean density ratio (overridable via `calibrate`)
-    euler_pmax   truncation bound for all Euler products
-    c_density    constant c for the prime-density upper bound, c*ln(2) < 1
-    """
-
-    h_c: float = DEFAULT_H_C
-    euler_pmax: int = 10**6
-    c_density: float = 1.0
-
-    def __post_init__(self):
-        if not self.h_c > 0:
-            raise ValueError(f"h_c must be positive, got {self.h_c}")
-        if self.euler_pmax < 100:
-            raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
-        if not 0 < self.c_density < 1 / LN2:
-            raise ValueError(
-                f"c_density must lie in (0, {1 / LN2:.6f}), got {self.c_density}"
-            )
+DEFAULT_EULER_PMAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -169,27 +147,27 @@ def twin_ratio_product(pmax: int) -> float:
     return float(np.prod((p - 1.0) / (p - 2.0)))
 
 
-def hardy_littlewood_simple(x: int, cfg: EstimatorConfig = EstimatorConfig()) -> float:
-    """Twin-count estimate C2 * x / ln(x) with C2 truncated at cfg.euler_pmax.
+def hardy_littlewood_simple(x: int, euler_pmax: int = DEFAULT_EULER_PMAX) -> float:
+    """Twin-count estimate C2 * x / ln(x) with C2 truncated at euler_pmax.
 
     Evaluated exactly as written; it overshoots actual twin counts by a
     growing factor, which the audit records as a finding.
     """
     if x < 5:
         raise ValueError(f"x must be >= 5, got {x}")
-    return twin_prime_constant(cfg.euler_pmax) * x / math.log(x)
+    return twin_prime_constant(euler_pmax) * x / math.log(x)
 
 
-def hardy_littlewood_product(x: int, cfg: EstimatorConfig = EstimatorConfig()) -> float:
+def hardy_littlewood_product(x: int, euler_pmax: int = DEFAULT_EULER_PMAX) -> float:
     """Twin-count estimate C2 * x/ln(x)**2 * prod (p-1)/(p-2), truncated.
 
     The trailing product has no finite limit, so the value is meaningful
-    only relative to the explicit truncation cfg.euler_pmax.
+    only relative to the explicit truncation euler_pmax.
     """
     if x < 5:
         raise ValueError(f"x must be >= 5, got {x}")
-    c = twin_prime_constant(cfg.euler_pmax)
-    return c * x / math.log(x) ** 2 * twin_ratio_product(cfg.euler_pmax)
+    c = twin_prime_constant(euler_pmax)
+    return c * x / math.log(x) ** 2 * twin_ratio_product(euler_pmax)
 
 
 def density_ratio(x: int, pi_x: int, pi2_x: int) -> float:
@@ -224,15 +202,13 @@ def mean_density_ratio(rows: Iterable[EstimateRow]) -> float:
     return fmean(hs)
 
 
-def twin_count_estimate(
-    x: int, pi_x: int, cfg: EstimatorConfig = EstimatorConfig()
-) -> int:
+def twin_count_estimate(x: int, pi_x: int, h_c: float = DEFAULT_H_C) -> int:
     """round(h_c * pi(x)**2 / x), ties rounding half away from zero."""
     if x < 5:
         raise ValueError(f"x must be >= 5, got {x}")
     if pi_x <= 0:
         raise ValueError(f"pi_x must be positive, got {pi_x}")
-    return round_half_away(cfg.h_c * pi_x * pi_x / x)
+    return round_half_away(h_c * pi_x * pi_x / x)
 
 
 def bounds_rows(sieve: PrimeSieve, xs: Sequence[int]) -> list[BoundsRow]:
@@ -241,14 +217,14 @@ def bounds_rows(sieve: PrimeSieve, xs: Sequence[int]) -> list[BoundsRow]:
 
 
 def estimate_rows(
-    sieve: PrimeSieve, xs: Sequence[int], cfg: EstimatorConfig = EstimatorConfig()
+    sieve: PrimeSieve, xs: Sequence[int], h_c: float = DEFAULT_H_C
 ) -> list[EstimateRow]:
     """Estimator-table rows (densities, h, estimate, and its error) at xs."""
     rows = []
     for x in xs:
         pi_x = sieve.count_primes_upto(x)
         pi2_x = sieve.count_twins_upto(x)
-        star = twin_count_estimate(x, pi_x, cfg)
+        star = twin_count_estimate(x, pi_x, h_c)
         delta = abs(pi2_x - star)
         rows.append(
             EstimateRow(

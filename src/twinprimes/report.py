@@ -30,13 +30,7 @@ import numpy as np
 
 from . import counting, estimators, legendre
 from .counting import CountCheckpoint
-from .estimators import (
-    BoundsRow,
-    EstimateRow,
-    EstimatorConfig,
-    log_grid,
-    round_half_away,
-)
+from .estimators import BoundsRow, EstimateRow, log_grid, round_half_away
 from .sieve import PrimeSieve, build_sieve
 
 STATUS_MATCH = "match"
@@ -78,17 +72,17 @@ def reference_checkpoints(table_id: int) -> tuple[int, ...]:
 class RunConfig:
     """Everything a reproducible run depends on.
 
-    Thread count and segment size deliberately do not influence any output
-    byte; they are tuning knobs only.
+    h_c is the estimator's calibrated density ratio and euler_pmax the
+    truncation bound of every Euler product.  The thread count never
+    changes an output byte; it only tunes the sieve build.
     """
 
     limit: int = 10**6
     checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
-    h_c: float | None = None
-    euler_pmax: int = 10**6
+    h_c: float = estimators.DEFAULT_H_C
+    euler_pmax: int = estimators.DEFAULT_EULER_PMAX
     strict_paper: bool = False
     threads: int = 1
-    segment_size: int | None = None
 
     def __post_init__(self):
         if self.limit < 5:
@@ -99,18 +93,13 @@ class RunConfig:
                 raise ValueError(
                     f"checkpoints outside [5, limit={self.limit}]: {bad}"
                 )
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            h_c=self.h_c if self.h_c is not None else estimators.DEFAULT_H_C,
-            euler_pmax=self.euler_pmax,
-        )
+        if not self.h_c > 0:
+            raise ValueError(f"h_c must be positive, got {self.h_c}")
+        if self.euler_pmax < 100:
+            raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
 
     def build(self) -> PrimeSieve:
-        kwargs = {"threads": self.threads}
-        if self.segment_size is not None:
-            kwargs["segment_size"] = self.segment_size
-        return build_sieve(self.limit, **kwargs)
+        return build_sieve(self.limit, threads=self.threads)
 
     def xs_for(self, table_id: int) -> tuple[int, ...]:
         if self.checkpoints is not None:
@@ -134,7 +123,7 @@ def table2_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[BoundsRow]:
 
 
 def table3_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[EstimateRow]:
-    return estimators.estimate_rows(sieve, cfg.xs_for(3), cfg.estimator_config())
+    return estimators.estimate_rows(sieve, cfg.xs_for(3), cfg.h_c)
 
 
 def table_rows(table_id: int, sieve: PrimeSieve, cfg: RunConfig) -> list:
@@ -455,7 +444,6 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
     report = InvariantReport()
     add = report.checks.append
     grid = _grid_for(sieve).tolist()
-    est_cfg = cfg.estimator_config()
 
     bad = []
     for x in grid:
@@ -558,14 +546,16 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     xs = [x for x in reference_checkpoints(3) if 1500 <= x <= sieve.limit]
     if xs:
-        rows = estimators.estimate_rows(sieve, xs, est_cfg)
+        rows = estimators.estimate_rows(sieve, xs, cfg.h_c)
         bad = [(r.x, round(r.rel_error, 4)) for r in rows if r.rel_error > 0.04]
         add(InvariantCheck(
             "estimator_accuracy", not bad,
             f"rel_error > 0.04 at {bad}" if bad
             else f"rel_error <= 0.04 at all {len(xs)} checkpoints"))
 
-    ladder = [100, 10**3, 10**4, 10**5, min(10**6, est_cfg.euler_pmax)]
+    # Coarser truncations, then the run's own (capped at 10**6).
+    top = min(10**6, cfg.euler_pmax)
+    ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
     consts = [estimators.twin_prime_constant(p) for p in ladder]
     ok = all(b < a for a, b in zip(consts, consts[1:]))
     add(InvariantCheck(
@@ -574,7 +564,7 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     if decades:
         ratios = [
-            estimators.hardy_littlewood_simple(x, est_cfg)
+            estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
             / sieve.count_twins_upto(x)
             for x in decades
         ]

@@ -5,6 +5,8 @@ in little-endian 64-bit words plus per-word cumulative popcounts (a rank
 directory in the sense of Jacobson 1989 and Vigna 2008), so prime and
 twin-pair counts up to any x <= limit are answered in constant time after
 construction: one cumulative count plus the popcount of one masked word.
+The store is sieved in windows of SEGMENT_SIZE odd numbers, on one thread
+or several; neither choice changes a bit of it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Odd candidates per segment.  Benchmarked 2**18..2**23 at limit 3.7e7:
-# 2**20 (1 MiB unpacked window, 128 KiB packed) came out fastest, with
-# 2**19..2**21 within ~7% of each other.
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# Odd candidates per sieve window, a multiple of 8; read by each build, so
+# tests may patch it.  Benchmarked 2**18..2**23 at limit 3.7e7: 2**20 (1 MiB
+# unpacked window, 128 KiB packed) came out fastest, with 2**19..2**21
+# within ~7% of each other.
+SEGMENT_SIZE = 1 << 20
 
 # Construction refuses to allocate more than this unless overridden.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
@@ -47,10 +50,16 @@ def small_primes(limit: int) -> np.ndarray:
     """All primes <= limit via a plain unsegmented boolean sieve.
 
     Bootstrap helper for the segmented sieve and for Euler products; fine up
-    to a few 10**7, do not use for the main store.
+    to a few 10**7, do not use for the main store.  Refuses, before
+    allocating, a limit whose arrays could exceed DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    # One flag byte per n, plus two int64 arrays of at most
+    # 1.25506 n / ln n primes (Rosser and Schoenfeld 1962).
+    required = limit + 1 + 16 * math.ceil(1.25506 * limit / math.log(limit))
+    if required > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(required, DEFAULT_MEMORY_BUDGET)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -107,16 +116,14 @@ class PrimeSieve:
 
     __slots__ = (
         "limit",
-        "segment_size",
         "_words",
         "_twin_words",
         "_prime_cum",
         "_twin_cum",
     )
 
-    def __init__(self, limit, segment_size, words, twin_words, prime_cum, twin_cum):
+    def __init__(self, limit, words, twin_words, prime_cum, twin_cum):
         self.limit = limit
-        self.segment_size = segment_size
         self._words = words
         self._twin_words = twin_words
         self._prime_cum = prime_cum
@@ -176,14 +183,14 @@ class PrimeSieve:
         return _prefix_count(self._twin_words, self._twin_cum, (x - 5) // 2 + 1)
 
 
-def _estimate_bytes(limit: int, segment_size: int, threads: int) -> int:
+def _estimate_bytes(limit: int, threads: int) -> int:
     """Upper bound on the bytes a build allocates, every array counted at once."""
     n_odd = (limit - 1) // 2
     store = 8 * -(-n_odd // 64)                # one store of <u8 words
     root = math.isqrt(limit)
     base = root + 1 + 56 * (root // 2 + 1)     # flags, int64s, list of ints
-    window = segment_size + segment_size // 8  # bool window + packed bytes
-    workers = _worker_count(threads, -(-n_odd // segment_size))
+    window = SEGMENT_SIZE + SEGMENT_SIZE // 8  # bool window + packed bytes
+    workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
     shift = 8 * _SHIFT_BLOCK                   # one block of words shifted left
     cums = 2 * (store + 8)                     # int64 per word, plus a total
     return base + workers * window + 2 * store + shift + cums
@@ -192,26 +199,22 @@ def _estimate_bytes(limit: int, segment_size: int, threads: int) -> int:
 def build_sieve(
     limit: int,
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> PrimeSieve:
     """Build an immutable PrimeSieve for [2, limit].
 
-    segment_size is the number of odd candidates sieved per window (rounded
-    up to a byte multiple); query answers do not depend on it.  threads > 1
-    sieves windows concurrently with bit-identical results, on at most one
-    thread per window and per CPU.
+    Windows of SEGMENT_SIZE odd candidates are sieved one at a time;
+    threads > 1 sieves them concurrently with bit-identical results, on at
+    most one thread per window and per CPU.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
-    if segment_size < 8:
-        raise ValueError(f"segment_size must be >= 8, got {segment_size}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    segment_size = -(-segment_size // 8) * 8
 
-    required = _estimate_bytes(limit, segment_size, threads)
+    segment_size = SEGMENT_SIZE
+    required = _estimate_bytes(limit, threads)
     if required > memory_budget:
         raise MemoryBudgetError(required, memory_budget)
 
@@ -264,7 +267,6 @@ def build_sieve(
     twin_words = _twin_words(words)
     return PrimeSieve(
         limit,
-        segment_size,
         words,
         twin_words,
         _cumulative_counts(words),

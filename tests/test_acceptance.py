@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from twinprimes import (
-    EstimatorConfig,
     RunConfig,
     build_sieve,
     check_phi_pi_bound,
@@ -231,10 +230,9 @@ def test_c08a_estimator_column_reproduces_published_values(sieve_1e6):
     # our sieve confirms), round(1.325067 * 1754**2 / 15000) = 272, yet the
     # published column prints 274 -- inconsistent with its own h row.
     failures = []
-    cfg = EstimatorConfig(h_c=H_C)
     for row in REF["table3"]["rows"]:
         star = twin_count_estimate(
-            row["x"], sieve_1e6.count_primes_upto(row["x"]), cfg
+            row["x"], sieve_1e6.count_primes_upto(row["x"]), H_C
         )
         if star != row["pi2_star"]:
             failures.append(
@@ -250,7 +248,7 @@ def test_c08b_estimator_relative_error_within_envelope(sieve_1e6):
     # 7/126 = 0.0556, outside the stated 0.04 envelope.
     failures = []
     xs = [row["x"] for row in REF["table3"]["rows"]]
-    rows = estimate_rows(sieve_1e6, xs, EstimatorConfig(h_c=H_C))
+    rows = estimate_rows(sieve_1e6, xs, H_C)
     for row in rows:
         if row.rel_error > 0.04:
             failures.append(
@@ -281,7 +279,7 @@ def test_c10a_large_x_estimate_matches_published_value(large_sieve):
     pi = sieve.count_primes_upto(37 * 10**6)
     if pi != 2261623:  # frozen from an independent prime-count implementation
         failures.append(f"pi(37e6) = {pi}, oracle says 2261623")
-    star = twin_count_estimate(37 * 10**6, pi, EstimatorConfig(h_c=H_C))
+    star = twin_count_estimate(37 * 10**6, pi, H_C)
     if star != 183463:
         failures.append(
             f"estimate at 37e6 is {star} (from pi = {pi}), published 183463"
@@ -294,8 +292,7 @@ def test_c10b_large_x_relative_error_within_half_percent(large_sieve):
     sieve, _ = large_sieve
     x = 37 * 10**6
     pi2 = sieve.count_twins_upto(x)
-    star = twin_count_estimate(x, sieve.count_primes_upto(x),
-                               EstimatorConfig(h_c=H_C))
+    star = twin_count_estimate(x, sieve.count_primes_upto(x), H_C)
     rel = abs(star - pi2) / pi2
     failures = []
     if pi2 != 183728:

@@ -73,7 +73,7 @@ def test_byte_identical_output_across_thread_counts():
     a = run_cli("table1", "--limit", "20000", "--format", "csv",
                 "--threads", "1")
     b = run_cli("table1", "--limit", "20000", "--format", "csv",
-                "--threads", "3", "--segment-size", "2048")
+                "--threads", "3")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -195,6 +195,9 @@ def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):
         assert (tmp_path / name).read_text(encoding="utf-8") == text, name
 
 
+_REQUIRED = {"estimate": ["--x", "1000"], "phi": ["--y", "100", "--r", "2"]}
+
+
 @pytest.mark.parametrize("command,flag", [
     ("table1", "--hc"),
     ("table1", "--euler-pmax"),
@@ -202,10 +205,14 @@ def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):
     ("table2", "--euler-pmax"),
     ("table3", "--euler-pmax"),
     ("audit", "--euler-pmax"),
-], ids=lambda v: v.lstrip("-"))
+] + [(command, "--segment-size") for command in (
+    "sieve", "table1", "table2", "table3", "estimate", "calibrate", "phi",
+    "audit", "check", "reproduce",
+)], ids=lambda v: v.lstrip("-"))
 def test_unread_flags_are_rejected(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--limit", "1000", flag, "200"])
+        main([command, "--limit", "1000", *_REQUIRED.get(command, []),
+              flag, "200"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 200" in capsys.readouterr().err
 
@@ -217,7 +224,9 @@ def test_bad_format_rejected(capsys):
     assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["mkdir", "write", "estimate_x", "phi_depth"])
+@pytest.mark.parametrize(
+    "case", ["mkdir", "write", "estimate_x", "phi_depth", "euler_pmax"]
+)
 def test_failure_is_one_error_line(case, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -227,6 +236,8 @@ def test_failure_is_one_error_line(case, tmp_path):
         "write": ["table1", "--limit", "1000", "--out", str(tmp_path)],
         "estimate_x": ["estimate", "--x", "3"],
         "phi_depth": ["phi", "--y", "100000", "--r", "1500"],
+        "euler_pmax": ["estimate", "--x", "1000", "--limit", "1000",
+                       "--euler-pmax", "1000000000000"],
     }[case]
     proc = run_cli(*argv)
     assert proc.returncode == 1

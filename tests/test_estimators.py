@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinprimes import (
+    DensityBoundParams,
     EstimateRow,
-    EstimatorConfig,
+    RunConfig,
     bounds_rows,
     check_density_ratio_bound,
     density_ratio,
@@ -167,8 +168,7 @@ class TestHardyLittlewoodForms:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_product_form_tracks_truncation(self):
-        cfg = EstimatorConfig(euler_pmax=100)
-        assert hardy_littlewood_product(10**3, cfg) == pytest.approx(
+        assert hardy_littlewood_product(10**3, 100) == pytest.approx(
             174.17991330081062, rel=1e-12
         )
         # the same point evaluated with equally truncated bare products
@@ -177,7 +177,7 @@ class TestHardyLittlewoodForms:
             * 10**3 / math.log(10**3) ** 2
             * twin_ratio_product(100)
         )
-        assert hardy_littlewood_product(10**3, cfg) == pytest.approx(
+        assert hardy_littlewood_product(10**3, 100) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -258,7 +258,7 @@ class TestTwinCountEstimate:
 
     def test_tie_rounds_away_from_zero(self):
         # 1.0 * 2**2 / 8 = 0.5 exactly
-        assert twin_count_estimate(8, 2, EstimatorConfig(h_c=1.0)) == 1
+        assert twin_count_estimate(8, 2, 1.0) == 1
         assert round_half_away(0.5) == 1
         assert round_half_away(1.5) == 2
         assert round_half_away(2.5) == 3
@@ -297,11 +297,11 @@ class TestEstimateRows:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EstimatorConfig(h_c=0.0)
+            RunConfig(h_c=0.0)
         with pytest.raises(ValueError):
-            EstimatorConfig(euler_pmax=99)
+            RunConfig(euler_pmax=99)
         with pytest.raises(ValueError):
-            EstimatorConfig(c_density=1.5)
+            DensityBoundParams(c=1.5, y=1000)
 
 
 def test_log_grid_shape():

@@ -49,9 +49,7 @@ def _measure(limit, threads):
 @pytest.mark.parametrize("limit", [10**7, 10**8])
 def test_rss_growth_of_a_build_is_within_the_estimate(limit, threads):
     got = _measure(limit, threads)
-    estimate = sieve_mod._estimate_bytes(
-        limit, sieve_mod.DEFAULT_SEGMENT_SIZE, threads
-    )
+    estimate = sieve_mod._estimate_bytes(limit, threads)
     # the lower bound shows the child did not start from an inherited peak
     assert got["held"] // 2 <= got["delta"] <= estimate
 

@@ -266,6 +266,14 @@ class TestInvariantSuite:
         suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4, h_c=10.0))
         assert not suite.check("estimator_accuracy").passed
 
+    def test_twin_constant_ladder_ends_at_a_small_truncation(self, sieve_1e4):
+        suite = run_invariant_suite(
+            sieve_1e4, RunConfig(limit=10**4, euler_pmax=5000)
+        )
+        check = suite.check("twin_constant_monotone")
+        assert check.passed
+        assert check.detail.startswith("truncations [100, 1000, 5000] ->")
+
     def test_suite_clamps_to_small_limits(self, sieve_1e4):
         suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))
         assert suite.check("trost_bounds_grid").passed

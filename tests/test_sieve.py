@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinprimes import MemoryBudgetError, SieveRangeError, build_sieve
+from twinprimes import (
+    MemoryBudgetError,
+    SieveRangeError,
+    build_sieve,
+    small_primes,
+)
 from twinprimes.sieve import _estimate_bytes, _worker_count
 
 import oracles
@@ -74,12 +79,12 @@ def test_primes_between_range_violations():
             sieve.primes_between(lo, hi)
 
 
-def test_segment_size_is_invisible_to_queries():
+def test_segment_size_is_invisible_to_queries(monkeypatch):
     limit = 3 * 10**5
-    sieves = [
-        build_sieve(limit, segment_size=size)
-        for size in (2**10, 2**15, 2**20)
-    ]
+    sieves = []
+    for size in (2**10, 2**15, 2**20):
+        monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", size)
+        sieves.append(build_sieve(limit))
     rng = np.random.default_rng(20260809)
     probes = rng.integers(2, limit + 1, size=1000)
     for n in probes.tolist():
@@ -91,9 +96,10 @@ def test_segment_size_is_invisible_to_queries():
     )
 
 
-def test_threaded_build_is_bit_identical():
+def test_threaded_build_is_bit_identical(monkeypatch):
     serial = build_sieve(10**6, threads=1)
-    threaded = build_sieve(10**6, threads=4, segment_size=2**15)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**15)
+    threaded = build_sieve(10**6, threads=4)
     assert np.array_equal(serial._words, threaded._words)
     assert np.array_equal(serial._twin_words, threaded._twin_words)
 
@@ -110,12 +116,26 @@ def test_worker_count_is_clamped_to_segments_and_cpus(monkeypatch):
 
 def test_estimate_counts_only_the_threads_that_start(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    one = _estimate_bytes(10**8, 2**20, 1)
-    two = _estimate_bytes(10**8, 2**20, 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**20)
+    one = _estimate_bytes(10**8, 1)
+    two = _estimate_bytes(10**8, 2)
     assert two > one
-    assert _estimate_bytes(10**8, 2**20, 10**9) == two
+    assert _estimate_bytes(10**8, 10**9) == two
     # a single window never starts a second thread
-    assert _estimate_bytes(10**5, 2**20, 10**9) == _estimate_bytes(10**5, 2**20, 1)
+    assert _estimate_bytes(10**5, 10**9) == _estimate_bytes(10**5, 1)
+
+
+def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
+    # Refused before any of its ~1 TB is allocated.
+    with pytest.raises(MemoryBudgetError):
+        small_primes(10**12)
+    # The bound is not below what the call really holds at 10**6: a flag
+    # byte per n, the flatnonzero indices and their int64 copy.
+    held = 10**6 + 1 + 16 * 78_498
+    monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", held)
+    with pytest.raises(MemoryBudgetError):
+        small_primes(10**6)
+    assert len(small_primes(10**5)) == 9592
 
 
 def test_repeated_builds_are_deterministic():
@@ -172,8 +192,10 @@ def test_word_index_counts_match_oracles(trial_pi_1e4, trial_twin_1e4, limit):
 # whole number of words too and the lower member of the twin pair (641, 643).
 @pytest.mark.parametrize("limit", [127, 129, 130, 131, 133, 135, 257, 258, 641, 643])
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
-def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size):
-    sieve = build_sieve(limit, segment_size=segment_size)
+def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size,
+                         monkeypatch):
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    sieve = build_sieve(limit)
     _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
     # No bit is set past the last odd number, nor for a pair ending past
     # limit: at 641 the last twin bit, for (641, 643), must be 0.
