@@ -170,14 +170,13 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_phi(args) -> int:
     y, r = args.y, args.r
-    phi = legendre.phi_recursive(y, r)
-    lines = [f"y={y}", f"r={r}", f"phi_recursive={phi}"]
-    if r <= legendre.MAX_MOBIUS_R:
-        lines.append(f"phi_mobius={legendre.phi_mobius(y, r)}")
+    # Built first, so the memory budget refuses an oversized --y at once.
     sieve = _run_config(args, limit=max(args.limit, y, 5)).build()
     chk = legendre.check_phi_pi_bound(sieve, y, r)
-    lines.append(f"pi_y={chk.pi_y}")
-    lines.append(f"bound_ok={str(chk.bound_ok).lower()}")
+    lines = [f"y={y}", f"r={r}", f"phi_recursive={chk.phi}"]
+    if r <= legendre.MAX_MOBIUS_R:
+        lines.append(f"phi_mobius={legendre.phi_mobius(y, r)}")
+    lines += [f"pi_y={chk.pi_y}", f"bound_ok={str(chk.bound_ok).lower()}"]
     _write("\n".join(lines) + "\n", None)
     return EXIT_OK
 
@@ -310,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, MemoryError, RecursionError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

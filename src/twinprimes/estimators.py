@@ -208,7 +208,10 @@ def twin_count_estimate(x: int, pi_x: int, h_c: float = DEFAULT_H_C) -> int:
         raise ValueError(f"x must be >= 5, got {x}")
     if pi_x <= 0:
         raise ValueError(f"pi_x must be positive, got {pi_x}")
-    return round_half_away(h_c * pi_x * pi_x / x)
+    estimate = h_c * pi_x * pi_x / x
+    if not math.isfinite(estimate):
+        raise ValueError(f"h_c*pi(x)**2/x is not finite for h_c={h_c}, x={x}")
+    return round_half_away(estimate)
 
 
 def bounds_rows(sieve: PrimeSieve, xs: Sequence[int]) -> list[BoundsRow]:

@@ -2,10 +2,11 @@
 it yields on pi(y) and on the prime density pi(y)/y.
 
 phi(y, r) counts naturals <= y (1 included) divisible by none of the first
-r primes.  Two independent evaluations are kept permanently as mutual
-oracles: the two-argument recurrence and the direct signed Moebius sum over
-squarefree products of the first r primes.  All arithmetic is exact integer
-arithmetic; floor(y/d) is integer division.
+r primes.  Two independent evaluations, neither recursive nor memoized,
+are kept permanently as mutual oracles: the two-argument recurrence,
+unrolled level by level (Lagarias, Miller and Odlyzko 1985), and the direct
+signed Moebius sum over squarefree products of the first r primes.  All
+arithmetic is exact integer arithmetic; floor(y/d) is integer division.
 
 The classical choice r = pi(sqrt(y)) is one selectable instance; r stays a
 free parameter here.
@@ -24,7 +25,8 @@ MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
 _LN2 = math.log(2)
 
 
-@lru_cache(maxsize=None)
+# Bounded: both phi routes call this on every evaluation.
+@lru_cache(maxsize=16)
 def first_primes(r: int) -> tuple[int, ...]:
     """The first r primes, strictly increasing from 2."""
     if r < 0:
@@ -39,21 +41,32 @@ def first_primes(r: int) -> tuple[int, ...]:
         bound *= 2
 
 
-@lru_cache(maxsize=None)
-def _phi(y: int, r: int) -> int:
-    if r == 0 or y < 2:
-        return y
-    return _phi(y, r - 1) - _phi(y // first_primes(r)[-1], r - 1)
-
-
 def phi_recursive(y: int, r: int) -> int:
-    """phi(y, r) by the recurrence phi(y, r) = phi(y, r-1) - phi(y//P_r, r-1)."""
+    """phi(y, r) by the recurrence phi(y, r) = phi(y, r-1) - phi(y//P_r, r-1).
+
+    Unrolled level by level as ones + sum(c * phi(v, k)) over a map from
+    the values v = floor(y/d) (at most ~2*sqrt(y)) to signed multiplicities
+    c, from {y: 1} at k = r down to k = 0, where phi(v, 0) = v.  A term with
+    v < P_k is settled into ones: every n in [2, v] has a prime factor below
+    P_k, so phi(v, k) = 1.
+    """
     if y < 0:
         raise ValueError(f"y must be >= 0, got {y}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    first_primes(r)  # materialize before recursing
-    return _phi(y, r)
+    if y < 2:
+        return y
+    terms, ones = {y: 1}, 0
+    for p in reversed(first_primes(r)):
+        below = {}
+        for v, c in terms.items():
+            if v < p:
+                ones += c
+                continue
+            below[v] = below.get(v, 0) + c
+            below[v // p] = below.get(v // p, 0) - c
+        terms = below
+    return ones + sum(v * c for v, c in terms.items())
 
 
 def phi_mobius(y: int, r: int) -> int:

@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from importlib import resources
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,8 +94,8 @@ class RunConfig:
                 raise ValueError(
                     f"checkpoints outside [5, limit={self.limit}]: {bad}"
                 )
-        if not self.h_c > 0:
-            raise ValueError(f"h_c must be positive, got {self.h_c}")
+        if not 0 < self.h_c < float("inf"):
+            raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
         if self.euler_pmax < 100:
             raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
 
@@ -267,9 +268,6 @@ class AuditReport:
     def non_matching(self) -> list[ReferenceCell]:
         return [c for c in self.cells if c.status != STATUS_MATCH]
 
-    def mismatches(self) -> list[ReferenceCell]:
-        return [c for c in self.cells if c.status == STATUS_MISMATCH]
-
     def status_counts(self) -> dict[str, int]:
         counts = {STATUS_MATCH: 0, STATUS_FORMATTING: 0, STATUS_MISMATCH: 0}
         for cell in self.cells:
@@ -351,14 +349,11 @@ def audit_against_reference(sieve: PrimeSieve, cfg: RunConfig) -> AuditReport:
                         (table_id, row[column])
                     )
         for x in sorted(values):
-            entries = values[x]
-            for i in range(len(entries)):
-                for j in range(i + 1, len(entries)):
-                    (ta, va), (tb, vb) = entries[i], entries[j]
-                    if va != vb:
-                        report.conflicts.append(
-                            CrossTableConflict(x, column, ta, va, tb, vb)
-                        )
+            for (ta, va), (tb, vb) in combinations(values[x], 2):
+                if va != vb:
+                    report.conflicts.append(
+                        CrossTableConflict(x, column, ta, va, tb, vb)
+                    )
     return report
 
 
@@ -431,10 +426,6 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def _grid_for(sieve: PrimeSieve) -> np.ndarray:
-    return log_grid(5, min(sieve.limit, 10**6), 200)
-
-
 def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
     """Execute every module's invariant grid, clamped to the sieve limit.
 
@@ -443,7 +434,7 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
     """
     report = InvariantReport()
     add = report.checks.append
-    grid = _grid_for(sieve).tolist()
+    grid = log_grid(5, min(sieve.limit, 10**6), 200).tolist()
 
     bad = []
     for x in grid:
@@ -501,32 +492,29 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
             "vanishing_density_trend", ok,
             f"pi2/x and pi2/pi strictly decreasing over {decades}"))
 
-    y_max = min(2000, sieve.limit)
+    # One table of r-rough indicators feeds both phi checks: its cumsum
+    # along y is phi(y, r) for every y <= y_top and r <= 10.
+    y_max, y_top = min(2000, sieve.limit), min(10**4, sieve.limit)
+    rough = np.ones((11, y_top + 1), dtype=bool)
+    rough[:, 0] = False
+    for r, p in enumerate(legendre.first_primes(10), start=1):
+        rough[r:, p::p] = False
+    phi = np.cumsum(rough, axis=1)
     mism = []
-    for r in range(0, 8):
-        flags = np.ones(y_max + 1, dtype=bool)
-        for p in legendre.first_primes(r):
-            flags[p::p] = False
-        flags[0] = False
-        brute = np.cumsum(flags)
+    for r in range(8):
         for y in range(0, y_max + 1, 7):
-            if not (
-                legendre.phi_recursive(y, r)
-                == legendre.phi_mobius(y, r)
-                == int(brute[y])
-            ):
+            phis = {legendre.phi_recursive(y, r), legendre.phi_mobius(y, r)}
+            if phis != {int(phi[r, y])}:
                 mism.append((y, r))
     add(InvariantCheck(
         "phi_two_routes_vs_bruteforce", not mism,
         f"disagreements at {mism[:5]}" if mism
         else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7"))
 
-    y_top = min(10**4, sieve.limit)
-    bad = []
-    for y in range(1, y_top + 1, 3):
-        for r in range(0, 11):
-            if not legendre.check_phi_pi_bound(sieve, y, r).bound_ok:
-                bad.append((y, r))
+    ys = np.arange(1, y_top + 1, 3)
+    pi_ys = np.searchsorted(sieve.primes_between(2, y_top), ys, side="right")
+    above = pi_ys[:, None] > phi[:, ys].T + np.arange(11)
+    bad = [(int(ys[i]), int(r)) for i, r in np.argwhere(above)]
     add(InvariantCheck(
         "phi_prime_count_bound_grid", not bad,
         f"violations at {bad[:5]}" if bad

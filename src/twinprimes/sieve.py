@@ -65,7 +65,7 @@ def small_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int) -> int:
@@ -151,24 +151,18 @@ class PrimeSieve:
         self._check_range(hi, "hi")
         if lo > hi:
             raise SieveRangeError(f"empty range bounds lo={lo} > hi={hi}")
-        parts = []
-        if lo <= 2:
-            parts.append(np.array([2], dtype=np.int64))
-        a = max(lo, 3)
-        if a % 2 == 0:
-            a += 1
+        head = np.array([2] if lo <= 2 else [], dtype=np.int64)
+        a = max(lo, 3) | 1  # the first odd number >= max(lo, 3)
         b = hi if hi % 2 else hi - 1
-        if a <= b:
-            ia, ib = (a - 3) // 2, (b - 3) // 2
-            lo_byte, hi_byte = ia >> 3, (ib >> 3) + 1
-            store = self._words.view(np.uint8)
-            flags = np.unpackbits(store[lo_byte:hi_byte], bitorder="little")
-            window = flags[ia - 8 * lo_byte : ib - 8 * lo_byte + 1]
-            idx = np.flatnonzero(window).astype(np.int64) + ia
-            parts.append(2 * idx + 3)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        if a > b:
+            return head
+        ia, ib = (a - 3) // 2, (b - 3) // 2
+        lo_byte, hi_byte = ia >> 3, (ib >> 3) + 1
+        store = self._words.view(np.uint8)
+        flags = np.unpackbits(store[lo_byte:hi_byte], bitorder="little")
+        window = flags[ia - 8 * lo_byte : ib - 8 * lo_byte + 1]
+        idx = np.flatnonzero(window).astype(np.int64, copy=False) + ia
+        return np.concatenate([head, 2 * idx + 3])
 
     def count_primes_upto(self, x: int) -> int:
         """pi(x), exact, for 2 <= x <= limit."""

@@ -26,5 +26,10 @@ def trial_pi_1e4():
 
 
 @pytest.fixture(scope="session")
+def trial_pi_1e5():
+    return oracles.prime_prefix_counts(10**5)
+
+
+@pytest.fixture(scope="session")
 def trial_twin_1e4():
     return oracles.twin_prefix_counts(10**4)

@@ -111,6 +111,15 @@ def test_phi_subcommand(capsys):
     assert "bound_ok=true" in out
 
 
+def test_phi_answers_at_large_r():
+    # P_1501**2 > 10**5, so phi(10**5, 1500) = 1 + pi(10**5) - 1500; the
+    # Moebius route is capped at r = 25 and is not printed.
+    proc = run_cli("phi", "--y", "100000", "--r", "1500")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == ("y=100000\nr=1500\nphi_recursive=8093\n"
+                           "pi_y=9592\nbound_ok=true\n")
+
+
 def test_calibrate_reports_mean(capsys):
     assert main(["calibrate", "--limit", "100000"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
@@ -225,7 +234,8 @@ def test_bad_format_rejected(capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["mkdir", "write", "estimate_x", "phi_depth", "euler_pmax"]
+    "case", ["mkdir", "write", "estimate_x", "euler_pmax", "hc_inf",
+             "hc_overflow"]
 )
 def test_failure_is_one_error_line(case, tmp_path):
     blocker = tmp_path / "file"
@@ -235,9 +245,10 @@ def test_failure_is_one_error_line(case, tmp_path):
                   "--out", str(blocker / "sub" / "x.csv")],
         "write": ["table1", "--limit", "1000", "--out", str(tmp_path)],
         "estimate_x": ["estimate", "--x", "3"],
-        "phi_depth": ["phi", "--y", "100000", "--r", "1500"],
         "euler_pmax": ["estimate", "--x", "1000", "--limit", "1000",
                        "--euler-pmax", "1000000000000"],
+        "hc_inf": ["check", "--limit", "20000", "--hc", "inf"],
+        "hc_overflow": ["table3", "--limit", "20000", "--hc", "1e308"],
     }[case]
     proc = run_cli(*argv)
     assert proc.returncode == 1

@@ -270,6 +270,8 @@ class TestTwinCountEstimate:
             twin_count_estimate(4, 2)
         with pytest.raises(ValueError):
             twin_count_estimate(50, 0)
+        with pytest.raises(ValueError):  # h_c * pi_x**2 / x overflows
+            twin_count_estimate(20000, 2262, 1e308)
 
 
 @settings(max_examples=200)
@@ -298,6 +300,8 @@ class TestEstimateRows:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(h_c=0.0)
+        with pytest.raises(ValueError):
+            RunConfig(h_c=math.inf)
         with pytest.raises(ValueError):
             RunConfig(euler_pmax=99)
         with pytest.raises(ValueError):

@@ -92,6 +92,17 @@ def test_phi_routes_agree_everywhere(y, r):
     assert phi_recursive(y, r) == phi_mobius(y, r)
 
 
+@settings(max_examples=150, deadline=None)
+@given(y=st.integers(1, 10**5), r=st.integers(0, 3000))
+def test_phi_recursive_far_past_the_mobius_cap(y, r, trial_pi_1e5):
+    # With P_{r+1}**2 > y, the survivors of the first r primes up to y are
+    # 1 and the primes above P_r.
+    if first_primes(r + 1)[-1] ** 2 > y:
+        assert phi_recursive(y, r) == 1 + max(0, trial_pi_1e5[y] - r)
+    if r <= 25:
+        assert phi_recursive(y, r) == phi_mobius(y, r)
+
+
 def test_phi_monotone_in_both_arguments():
     for y in (0, 10, 100, 999, 2000):
         values = [phi_recursive(y, r) for r in range(10)]

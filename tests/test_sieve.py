@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,13 +130,25 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     # Refused before any of its ~1 TB is allocated.
     with pytest.raises(MemoryBudgetError):
         small_primes(10**12)
-    # The bound is not below what the call really holds at 10**6: a flag
-    # byte per n, the flatnonzero indices and their int64 copy.
+    # The bound is not below a flag byte per n plus 16 bytes per prime at
+    # 10**6, more than the call really holds (next test).
     held = 10**6 + 1 + 16 * 78_498
     monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
     assert len(small_primes(10**5)) == 9592
+
+
+def test_small_primes_holds_the_flags_and_one_index_array():
+    # A flag byte per n and 8 bytes per prime for the int64 indices; a copy
+    # of the indices would take 16 bytes per prime, above the 12 allowed.
+    tracemalloc.start()
+    try:
+        small_primes(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**6 + 1 + 12 * 78_498
 
 
 def test_repeated_builds_are_deterministic():
