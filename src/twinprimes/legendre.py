@@ -35,7 +35,8 @@ def first_primes(r: int) -> tuple[int, ...]:
         return ()
     bound = 15 if r < 6 else int(r * (math.log(r) + math.log(math.log(r)))) + 10
     while True:
-        ps = small_primes(bound)
+        # The tuple takes 40 bytes per prime: an 8-byte slot, a 32-byte int.
+        ps = small_primes(bound, held_bytes=40 * r)
         if len(ps) >= r:
             return tuple(int(p) for p in ps[:r])
         bound *= 2

@@ -1,12 +1,14 @@
 """Segmented, odd-only sieve of Eratosthenes with O(1) prefix counting.
 
 The sieve stores one bit per odd number in [3, limit] (2 is special-cased)
-in little-endian 64-bit words plus per-word cumulative popcounts (a rank
-directory in the sense of Jacobson 1989 and Vigna 2008), so prime and
-twin-pair counts up to any x <= limit are answered in constant time after
-construction: one cumulative count plus the popcount of one masked word.
-The store is sieved in windows of SEGMENT_SIZE odd numbers, on one thread
-or several; neither choice changes a bit of it.
+in little-endian 64-bit words, plus one cumulative popcount of primes and
+one of twin bits per block of _BLOCK words (a rank directory in the sense
+of Jacobson 1989 and Vigna 2008).  Prime and twin-pair counts up to any
+x <= limit are answered in constant time after construction: one
+cumulative count plus the popcount of one masked span of at most a block;
+twin bits are derived from that span, never stored.  The store is sieved
+in windows of SEGMENT_SIZE odd numbers, on one thread or several; neither
+choice changes a bit of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ SEGMENT_SIZE = 1 << 20
 # Construction refuses to allocate more than this unless overridden.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
-# Words shifted per step of twin derivation (512 KiB of scratch).
+# Words per cumulative count: one int64 per 512 bits of store.
+_BLOCK = 8
+
+# Words per slice of the block-count pass (512 KiB); a multiple of _BLOCK.
 _SHIFT_BLOCK = 1 << 16
 
 
@@ -46,18 +51,20 @@ class MemoryBudgetError(MemoryError):
         )
 
 
-def small_primes(limit: int) -> np.ndarray:
+def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
     """All primes <= limit via a plain unsegmented boolean sieve.
 
     Bootstrap helper for the segmented sieve and for Euler products; fine up
     to a few 10**7, do not use for the main store.  Refuses, before
-    allocating, a limit whose arrays could exceed DEFAULT_MEMORY_BUDGET.
+    allocating, a limit whose arrays, plus the held_bytes that the caller
+    builds from them, could exceed DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     # One flag byte per n, plus two int64 arrays of at most
     # 1.25506 n / ln n primes (Rosser and Schoenfeld 1962).
-    required = limit + 1 + 16 * math.ceil(1.25506 * limit / math.log(limit))
+    required = held_bytes + limit + 1 + 16 * math.ceil(
+        1.25506 * limit / math.log(limit))
     if required > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(required, DEFAULT_MEMORY_BUDGET)
     flags = np.ones(limit + 1, dtype=bool)
@@ -68,34 +75,36 @@ def small_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int) -> int:
-    """Number of set bits among bit indices [0, k) of a word store, k >= 0."""
-    j, rem = k >> 6, k & 63
-    count = cum.item(j)
-    if rem:
-        count += (words.item(j) & ((1 << rem) - 1)).bit_count()
-    return count
+def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int,
+                  twin: bool = False) -> int:
+    """Set bits among bit indices [0, k) of a word store, k >= 0; with twin,
+    the bits i for which bits i and i + 1 are both set."""
+    b, rem = divmod(k, 64 * _BLOCK)
+    # Block b's words up to the one holding bit k, which twin bit k - 1 reads.
+    span = int.from_bytes(words[_BLOCK * b : (k >> 6) + 1].tobytes(), "little")
+    if twin:
+        span &= span >> 1
+    return cum.item(b) + (span & ((1 << rem) - 1)).bit_count()
 
 
-def _cumulative_counts(words: np.ndarray) -> np.ndarray:
-    """cum[j] = set bits in words[:j], for j in [0, len(words)]."""
-    cum = np.zeros(len(words) + 1, dtype=np.int64)
-    # Written into cum and summed in place: no per-word temporary.
-    np.bitwise_count(words, out=cum[1:])
-    np.cumsum(cum[1:], out=cum[1:])
-    return cum
-
-
-def _twin_words(words: np.ndarray) -> np.ndarray:
-    """Bit i is set iff bits i and i + 1 of words are; the bit past the end is 0."""
-    twins = np.empty_like(words)
+def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cum[b] = set bits, and twin bits, in words[:_BLOCK * b], for b in
+    [0, len(words) // _BLOCK]; len(words) is a multiple of _BLOCK."""
+    prime_cum = np.zeros(len(words) // _BLOCK + 1, dtype=np.int64)
+    twin_cum = np.zeros_like(prime_cum)
+    twins = np.empty(min(len(words), _SHIFT_BLOCK), dtype=words.dtype)
     for lo in range(0, len(words), _SHIFT_BLOCK):
-        w = words[lo : lo + _SHIFT_BLOCK + 1]  # one word of look-ahead
-        t = twins[lo : lo + _SHIFT_BLOCK]
-        np.right_shift(w[: len(t)], 1, out=t)
-        t[: len(w) - 1] |= w[1:] << 63
-        t &= w[: len(t)]
-    return twins
+        w = words[lo : lo + _SHIFT_BLOCK]
+        nxt = words[lo + 1 : lo + _SHIFT_BLOCK + 1]  # the bit past the end is 0
+        t = np.right_shift(w, 1, out=twins[: len(w)])
+        t[: len(nxt)] |= nxt << 63
+        t &= w
+        blocks = slice(lo // _BLOCK + 1, (lo + len(w)) // _BLOCK + 1)
+        for cum, bits in ((prime_cum, w), (twin_cum, t)):
+            cum[blocks] = np.bitwise_count(bits).reshape(-1, _BLOCK).sum(axis=1)
+    np.cumsum(prime_cum, out=prime_cum)
+    np.cumsum(twin_cum, out=twin_cum)
+    return prime_cum, twin_cum
 
 
 def _worker_count(threads: int, n_segments: int) -> int:
@@ -107,25 +116,19 @@ class PrimeSieve:
     """Immutable primality store over [2, limit].
 
     Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3 of a store of
-    little-endian uint64 words; a second word store marks twin-pair lower
-    members (bit i set iff 2*i+3 and 2*i+5 are both prime).  Each store has
-    per-word cumulative popcounts, one int64 per word.  Construction may fan
+    little-endian uint64 words, zero-padded to whole blocks of _BLOCK words.
+    Bit i is a twin bit, the lower member of a twin pair, iff bits i and
+    i + 1 are both set.  Cumulative counts of primes and of twin bits, one
+    int64 each per block, are the only other arrays.  Construction may fan
     segments out over threads; the result is bit-identical to the sequential
     build, and instances are safe for concurrent reads afterwards.
     """
 
-    __slots__ = (
-        "limit",
-        "_words",
-        "_twin_words",
-        "_prime_cum",
-        "_twin_cum",
-    )
+    __slots__ = ("limit", "_words", "_prime_cum", "_twin_cum")
 
-    def __init__(self, limit, words, twin_words, prime_cum, twin_cum):
+    def __init__(self, limit, words, prime_cum, twin_cum):
         self.limit = limit
         self._words = words
-        self._twin_words = twin_words
         self._prime_cum = prime_cum
         self._twin_cum = twin_cum
 
@@ -174,20 +177,21 @@ class PrimeSieve:
         self._check_range(x, "x")
         if x < 5:
             return 0
-        return _prefix_count(self._twin_words, self._twin_cum, (x - 5) // 2 + 1)
+        return _prefix_count(self._words, self._twin_cum, (x - 5) // 2 + 1, True)
 
 
 def _estimate_bytes(limit: int, threads: int) -> int:
     """Upper bound on the bytes a build allocates, every array counted at once."""
     n_odd = (limit - 1) // 2
-    store = 8 * -(-n_odd // 64)                # one store of <u8 words
+    blocks = -(-n_odd // (64 * _BLOCK))
+    store = 8 * _BLOCK * blocks                # <u8 words in whole blocks
     root = math.isqrt(limit)
     base = root + 1 + 56 * (root // 2 + 1)     # flags, int64s, list of ints
     window = SEGMENT_SIZE + SEGMENT_SIZE // 8  # bool window + packed bytes
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
-    shift = 8 * _SHIFT_BLOCK                   # one block of words shifted left
-    cums = 2 * (store + 8)                     # int64 per word, plus a total
-    return base + workers * window + 2 * store + shift + cums
+    shift = 18 * _SHIFT_BLOCK                  # twin and shifted words, counts
+    cums = 2 * 8 * (blocks + 1)                # int64 per block, plus a total
+    return base + workers * window + store + shift + cums
 
 
 def build_sieve(
@@ -219,7 +223,7 @@ def build_sieve(
     workers = _worker_count(threads, n_segments)
     # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
     # i // 8 of the same buffer, whatever the host's byte order.
-    words = np.zeros(-(-n_odd // 64), dtype="<u8")
+    words = np.zeros(_BLOCK * -(-n_odd // (64 * _BLOCK)), dtype="<u8")
     store = words.view(np.uint8)
     seg_bytes = segment_size // 8
 
@@ -258,11 +262,4 @@ def build_sieve(
     else:
         sieve_segments(0)
 
-    twin_words = _twin_words(words)
-    return PrimeSieve(
-        limit,
-        words,
-        twin_words,
-        _cumulative_counts(words),
-        _cumulative_counts(twin_words),
-    )
+    return PrimeSieve(limit, words, *_block_counts(words))

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinprimes import cli
 from twinprimes.cli import main
 
 
@@ -235,7 +241,7 @@ def test_bad_format_rejected(capsys):
 
 @pytest.mark.parametrize(
     "case", ["mkdir", "write", "estimate_x", "euler_pmax", "hc_inf",
-             "hc_overflow"]
+             "hc_overflow", "phi_first_primes"]
 )
 def test_failure_is_one_error_line(case, tmp_path):
     blocker = tmp_path / "file"
@@ -249,9 +255,83 @@ def test_failure_is_one_error_line(case, tmp_path):
                        "--euler-pmax", "1000000000000"],
         "hc_inf": ["check", "--limit", "20000", "--hc", "inf"],
         "hc_overflow": ["table3", "--limit", "20000", "--hc", "1e308"],
+        # The first 13.5 million primes, as a tuple of ints, would not fit
+        # the budget beside the sieve that finds them.
+        "phi_first_primes": ["phi", "--y", "100", "--r", "13500000"],
     }[case]
     proc = run_cli(*argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+# Values that either run small or are refused before anything is allocated:
+# 10**12 is refused by the memory budget wherever it is read, and no thread
+# count above 2 is drawn.  Valid values are drawn twice as often as others.
+def _mostly(valid, other):
+    return st.one_of(valid, valid, other)
+
+
+_REFUSED = st.just(10**12)
+_SIZE = _mostly(st.integers(5, 20_000), st.one_of(st.integers(-5, 4), _REFUSED))
+_VALUES = {
+    "--limit": _SIZE,
+    "--threads": _mostly(st.integers(1, 2), st.integers(-1, 0)),
+    "--checkpoints": _mostly(
+        st.lists(st.integers(5, 3000), min_size=1, max_size=4)
+        .map(lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["", "x", "5,,25", "1e3", "4", "30000"])),
+    "--format": _mostly(st.sampled_from(["json", "text"]),
+                        st.sampled_from(["csv", "yaml"])),
+    "--out": st.sampled_from(["out.txt", "sub/out.csv", "."]),
+    "--hc": _mostly(st.floats(1.0, 2.0),
+                    st.one_of(st.floats(), st.sampled_from(["0", "abc"]))),
+    "--euler-pmax": _mostly(st.integers(100, 10**5),
+                            st.one_of(st.integers(-5, 99), _REFUSED)),
+    "--strict-paper": st.none(),
+    "--x": _SIZE,
+    "--y": _SIZE,
+    "--r": _mostly(st.integers(0, 3000), st.integers(-5, -1)),
+    "--outdir": st.sampled_from(["repro", "a/b"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    own = cli._SHARED + cli._COMMANDS[command][2]
+    # Its required flags, most of its others, now and then one it does not
+    # read.
+    flags = [f for f in own
+             if cli._FLAGS[f].get("required") or draw(st.integers(0, 3))]
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(draw(st.sampled_from(sorted(cli._FLAGS))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(_VALUES[flag])
+        argv += [flag] if value is None else [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argv())
+def test_random_small_argv_fails_cleanly(argv, tmp_path_factory):
+    # Relative --out and --outdir paths land in a fresh directory.
+    cwd, err = os.getcwd(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("TWINPRIMES_OUTDIR", None)
+        os.chdir(tmp_path_factory.mktemp("argv"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), argv
+        assert err.getvalue().count("\n") == 1, argv

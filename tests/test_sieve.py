@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from twinprimes import (
     build_sieve,
     small_primes,
 )
-from twinprimes.sieve import _estimate_bytes, _worker_count
+from twinprimes import sieve as sieve_mod
+from twinprimes.sieve import _BLOCK, _estimate_bytes, _worker_count
 
 import oracles
 
@@ -101,8 +103,8 @@ def test_threaded_build_is_bit_identical(monkeypatch):
     serial = build_sieve(10**6, threads=1)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**15)
     threaded = build_sieve(10**6, threads=4)
-    assert np.array_equal(serial._words, threaded._words)
-    assert np.array_equal(serial._twin_words, threaded._twin_words)
+    for field in ("_words", "_prime_cum", "_twin_cum"):
+        assert np.array_equal(getattr(serial, field), getattr(threaded, field))
 
 
 def test_worker_count_is_clamped_to_segments_and_cpus(monkeypatch):
@@ -195,15 +197,25 @@ def _assert_counts_match_oracles(sieve, pi, pi2):
 
 
 @settings(max_examples=40, deadline=None)
-@given(limit=st.integers(5, 5000))
-def test_word_index_counts_match_oracles(trial_pi_1e4, trial_twin_1e4, limit):
-    _assert_counts_match_oracles(build_sieve(limit), trial_pi_1e4, trial_twin_1e4)
+@given(limit=st.integers(5, 5000),
+       shift_block=st.sampled_from([_BLOCK, 2 * _BLOCK, sieve_mod._SHIFT_BLOCK]))
+def test_word_index_counts_match_oracles(trial_pi_1e4, trial_twin_1e4, limit,
+                                         shift_block):
+    # Limits up to 5000 cross four 512-bit blocks (1024 numbers each), and
+    # slices of one or two blocks cross them in the block-count pass too.
+    with mock.patch.object(sieve_mod, "_SHIFT_BLOCK", shift_block):
+        sieve = build_sieve(limit)
+    _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
 
 
 # Bit i stands for n = 2i + 3: bits 63, 64 and 65 are 129, 131 and 133.  At
 # 129 and 257 the odd count is 64 and 128, a whole number of words; 641 is a
 # whole number of words too and the lower member of the twin pair (641, 643).
-@pytest.mark.parametrize("limit", [127, 129, 130, 131, 133, 135, 257, 258, 641, 643])
+# Bits 511, 512 and 513 (the first 512-bit block edge) are 1025, 1027 and
+# 1029, bits 1023 and 1024 are 2049 and 2051; 1500 ends in word 12, which is
+# not a whole number of blocks.
+@pytest.mark.parametrize("limit", [127, 129, 130, 131, 133, 135, 257, 258, 641,
+                                   643, 1025, 1027, 1029, 1500, 2049, 2051])
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
 def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size,
                          monkeypatch):
@@ -212,11 +224,25 @@ def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size,
     _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
     # No bit is set past the last odd number, nor for a pair ending past
     # limit: at 641 the last twin bit, for (641, 643), must be 0.
-    assert int(np.bitwise_count(sieve._words).sum()) + 1 == trial_pi_1e4[limit]
-    assert int(np.bitwise_count(sieve._twin_words).sum()) == trial_twin_1e4[limit]
+    assert sieve._prime_cum[-1] + 1 == trial_pi_1e4[limit]
+    assert sieve._twin_cum[-1] == trial_twin_1e4[limit]
 
 
-def test_twin_words_do_not_depend_on_the_shift_block(monkeypatch):
+def test_twin_pair_across_a_block_edge(monkeypatch):
+    # (25601, 25603) is the first twin pair split by a 512-bit block edge:
+    # bits 12799 and 12800.  Slices of one block split it in the build too.
+    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", _BLOCK)
+    twins = oracles.twin_prefix_counts(25603)
+    sieve = build_sieve(25603)
+    assert sieve._twin_cum[25] == twins[25603] == twins[25602] + 1
+    for x in range(25000, 25604):
+        assert sieve.count_twins_upto(x) == twins[x], x
+
+
+def test_answers_do_not_depend_on_the_shift_block(monkeypatch):
     whole = build_sieve(5000)
-    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", 1)
-    assert np.array_equal(build_sieve(5000)._twin_words, whole._twin_words)
+    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", _BLOCK)
+    sliced = build_sieve(5000)
+    for x in range(2, 5001):
+        assert sliced.count_primes_upto(x) == whole.count_primes_upto(x), x
+        assert sliced.count_twins_upto(x) == whole.count_twins_upto(x), x
