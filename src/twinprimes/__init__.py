@@ -52,6 +52,7 @@ from .sieve import (
     PrimeSieve,
     SieveRangeError,
     build_sieve,
+    count_upto,
     small_primes,
 )
 

@@ -28,6 +28,7 @@ from .report import (
     EXIT_REFERENCE_MISMATCH,
     RunConfig,
 )
+from .sieve import count_upto
 
 OUTDIR_ENV = "TWINPRIMES_OUTDIR"
 DEFAULT_OUTDIR = "reproduction"
@@ -102,13 +103,11 @@ def _run_config(args, **overrides) -> RunConfig:
 
 
 def _cmd_sieve(args) -> int:
-    sieve = _run_config(args).build()
-    pi = sieve.count_primes_upto(sieve.limit)
-    pi2 = sieve.count_twins_upto(sieve.limit)
-    pi_pi = sieve.count_primes_upto(pi)
-    _write(
-        f"limit={sieve.limit}\npi={pi}\npi2={pi2}\npi_pi={pi_pi}\n", None
-    )
+    # Counts only: two passes that keep no store, the second over pi(limit).
+    cfg = _run_config(args)
+    pi, pi2 = count_upto(cfg.limit, threads=cfg.threads)
+    pi_pi = count_upto(pi, threads=cfg.threads)[0]
+    _write(f"limit={cfg.limit}\npi={pi}\npi2={pi2}\npi_pi={pi_pi}\n", None)
     return EXIT_OK
 
 

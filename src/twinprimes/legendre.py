@@ -25,8 +25,9 @@ MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
 _LN2 = math.log(2)
 
 
-# Bounded: both phi routes call this on every evaluation.
-@lru_cache(maxsize=16)
+# Both phi routes call this on every evaluation.  One result only: the
+# budget admitted the one tuple, not several together.
+@lru_cache(maxsize=1)
 def first_primes(r: int) -> tuple[int, ...]:
     """The first r primes, strictly increasing from 2."""
     if r < 0:

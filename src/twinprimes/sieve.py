@@ -1,14 +1,15 @@
-"""Segmented, odd-only sieve of Eratosthenes with O(1) prefix counting.
+"""Segmented, odd-only sieve of Eratosthenes: a word store with O(1) prefix
+counting, and a count-only pass in O(sqrt(limit)) memory.
 
-The sieve stores one bit per odd number in [3, limit] (2 is special-cased)
-in little-endian 64-bit words, plus one cumulative popcount of primes and
-one of twin bits per block of _BLOCK words (a rank directory in the sense
-of Jacobson 1989 and Vigna 2008).  Prime and twin-pair counts up to any
-x <= limit are answered in constant time after construction: one
-cumulative count plus the popcount of one masked span of at most a block;
-twin bits are derived from that span, never stored.  The store is sieved
-in windows of SEGMENT_SIZE odd numbers, on one thread or several; neither
-choice changes a bit of it.
+One generator, _windows, sieves windows of SEGMENT_SIZE odd numbers in
+order, one bit per odd number (2 is special-cased) in little-endian 64-bit
+words, on one thread or several.  build_sieve copies them into a store with
+one cumulative popcount of primes and one of twin bits per block of _BLOCK
+words (a rank directory in the sense of Jacobson 1989 and Vigna 2008): a
+count up to any x <= limit is one cumulative count plus the popcount of one
+masked span of at most a block, from which twin bits are derived.
+count_upto reads the same windows and keeps no store, only the base primes
+and one window per thread.
 """
 
 from __future__ import annotations
@@ -51,13 +52,30 @@ class MemoryBudgetError(MemoryError):
         )
 
 
+def _rss_bytes() -> int:
+    """The process's resident set size now; 0 where /proc is missing."""
+    try:
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return 0
+
+
+def _admit(required: int, budget: int) -> None:
+    """Refuse, before allocating, `required` more bytes unless they fit in
+    `budget` on top of what the process holds now."""
+    required += _rss_bytes()
+    if required > budget:
+        raise MemoryBudgetError(required, budget)
+
+
 def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
     """All primes <= limit via a plain unsegmented boolean sieve.
 
     Bootstrap helper for the segmented sieve and for Euler products; fine up
     to a few 10**7, do not use for the main store.  Refuses, before
     allocating, a limit whose arrays, plus the held_bytes that the caller
-    builds from them, could exceed DEFAULT_MEMORY_BUDGET.
+    builds from them, could take the process past DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
@@ -65,14 +83,75 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
     # 1.25506 n / ln n primes (Rosser and Schoenfeld 1962).
     required = held_bytes + limit + 1 + 16 * math.ceil(
         1.25506 * limit / math.log(limit))
-    if required > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(required, DEFAULT_MEMORY_BUDGET)
+    _admit(required, DEFAULT_MEMORY_BUDGET)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
     return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def _windows(limit: int, odd_base: list[int], ks: range):
+    """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
+    odd numbers in [3, limit], given the odd primes up to sqrt(limit).  Bit
+    j of words is store bit k * SEGMENT_SIZE + j, 0 past the window and past
+    limit."""
+    segment_size = SEGMENT_SIZE
+    n_odd = (limit - 1) // 2
+    # One reused flag per odd number, padded to whole words with False.
+    seg = np.empty(64 * -(-segment_size // 64), dtype=bool)
+    for k in ks:
+        lo_i = k * segment_size
+        hi_i = min(lo_i + segment_size, n_odd)
+        seg[:] = True
+        seg[hi_i - lo_i :] = False
+        lo_n = 2 * lo_i + 3
+        hi_n = 2 * (hi_i - 1) + 3
+        for p in odd_base:
+            start = p * p
+            if start > hi_n:
+                break
+            if start < lo_n:
+                start = ((lo_n + p - 1) // p) * p
+                if start % 2 == 0:
+                    start += p
+                if start > hi_n:
+                    continue
+            seg[(start - lo_n) // 2 :: p] = False
+        # Bit j lands in bit j % 8 of byte j // 8, so in bit j % 64 of
+        # little-endian word j // 64, whatever the host's byte order.
+        yield k, np.packbits(seg, bitorder="little").view("<u8")
+
+
+def _worker_count(threads: int, n_windows: int) -> int:
+    """Threads a pass really starts: never more than windows or CPUs."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, n_windows, os.cpu_count() or 1))
+
+
+def _fan_out(work, threads: int, n_windows: int) -> list:
+    """[work(ks) for each worker's run ks of windows], the runs contiguous,
+    non-empty and in order: one task, and one window, per worker."""
+    workers = _worker_count(threads, n_windows)
+    runs = [range(i * n_windows // workers, (i + 1) * n_windows // workers)
+            for i in range(workers)]
+    if workers == 1:
+        return [work(runs[0])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, runs))  # re-raises
+
+
+def _twin_bits(w: np.ndarray, nxt: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """Twin bits of words w into out: bit i iff bits i and i + 1 are set.
+    nxt[j] is the word after w[j], and missing ones read as 0; scratch is
+    as long as nxt or longer."""
+    np.right_shift(w, 1, out=out)
+    out[: len(nxt)] |= np.left_shift(nxt, 63, out=scratch[: len(nxt)])
+    out &= w
+    return out
 
 
 def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int,
@@ -93,12 +172,11 @@ def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prime_cum = np.zeros(len(words) // _BLOCK + 1, dtype=np.int64)
     twin_cum = np.zeros_like(prime_cum)
     twins = np.empty(min(len(words), _SHIFT_BLOCK), dtype=words.dtype)
+    shifted = np.empty_like(twins)
     for lo in range(0, len(words), _SHIFT_BLOCK):
         w = words[lo : lo + _SHIFT_BLOCK]
         nxt = words[lo + 1 : lo + _SHIFT_BLOCK + 1]  # the bit past the end is 0
-        t = np.right_shift(w, 1, out=twins[: len(w)])
-        t[: len(nxt)] |= nxt << 63
-        t &= w
+        t = _twin_bits(w, nxt, twins[: len(w)], shifted)
         blocks = slice(lo // _BLOCK + 1, (lo + len(w)) // _BLOCK + 1)
         for cum, bits in ((prime_cum, w), (twin_cum, t)):
             cum[blocks] = np.bitwise_count(bits).reshape(-1, _BLOCK).sum(axis=1)
@@ -107,21 +185,15 @@ def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prime_cum, twin_cum
 
 
-def _worker_count(threads: int, n_segments: int) -> int:
-    """Threads the build really starts: never more than segments or CPUs."""
-    return max(1, min(threads, n_segments, os.cpu_count() or 1))
-
-
 class PrimeSieve:
     """Immutable primality store over [2, limit].
 
     Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3 of a store of
-    little-endian uint64 words, zero-padded to whole blocks of _BLOCK words.
-    Bit i is a twin bit, the lower member of a twin pair, iff bits i and
-    i + 1 are both set.  Cumulative counts of primes and of twin bits, one
-    int64 each per block, are the only other arrays.  Construction may fan
-    segments out over threads; the result is bit-identical to the sequential
-    build, and instances are safe for concurrent reads afterwards.
+    little-endian uint64 words, zero-padded to whole blocks of _BLOCK words:
+    the windows of _windows, copied end to end.  Bit i is a twin bit, the
+    lower member of a twin pair, iff bits i and i + 1 are both set.
+    Cumulative counts of primes and of twin bits, one int64 each per block,
+    are the only other arrays.  Instances are safe for concurrent reads.
     """
 
     __slots__ = ("limit", "_words", "_prime_cum", "_twin_cum")
@@ -180,18 +252,22 @@ class PrimeSieve:
         return _prefix_count(self._words, self._twin_cum, (x - 5) // 2 + 1, True)
 
 
-def _estimate_bytes(limit: int, threads: int) -> int:
-    """Upper bound on the bytes a build allocates, every array counted at once."""
+def _estimate_bytes(limit: int, threads: int, store: bool = True) -> int:
+    """Upper bound on the bytes a build allocates, every array counted at
+    once; with store=False, on those of a count pass."""
     n_odd = (limit - 1) // 2
-    blocks = -(-n_odd // (64 * _BLOCK))
-    store = 8 * _BLOCK * blocks                # <u8 words in whole blocks
     root = math.isqrt(limit)
     base = root + 1 + 56 * (root // 2 + 1)     # flags, int64s, list of ints
-    window = SEGMENT_SIZE + SEGMENT_SIZE // 8  # bool window + packed bytes
+    words = 8 * -(-SEGMENT_SIZE // 64)         # packed window, whole words
+    window = 8 * words + words                 # bool window padded to words
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
+    if not store:  # twin and shifted words and their popcounts, per thread
+        return base + workers * (window + 2 * words + words // 8)
+    blocks = -(-n_odd // (64 * _BLOCK))
+    held = 8 * _BLOCK * blocks                 # <u8 words in whole blocks
     shift = 18 * _SHIFT_BLOCK                  # twin and shifted words, counts
     cums = 2 * 8 * (blocks + 1)                # int64 per block, plus a total
-    return base + workers * window + store + shift + cums
+    return base + workers * window + held + shift + cums
 
 
 def build_sieve(
@@ -202,64 +278,58 @@ def build_sieve(
 ) -> PrimeSieve:
     """Build an immutable PrimeSieve for [2, limit].
 
-    Windows of SEGMENT_SIZE odd candidates are sieved one at a time;
-    threads > 1 sieves them concurrently with bit-identical results, on at
-    most one thread per window and per CPU.
+    The windows of _windows are copied into the store; threads > 1 sieves
+    runs of them concurrently with bit-identical results, on at most one
+    thread per window and per CPU.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    segment_size = SEGMENT_SIZE
-    required = _estimate_bytes(limit, threads)
-    if required > memory_budget:
-        raise MemoryBudgetError(required, memory_budget)
+    _admit(_estimate_bytes(limit, threads), memory_budget)
 
     n_odd = (limit - 1) // 2
-    base = small_primes(math.isqrt(limit))
-    odd_base = [int(p) for p in base if p > 2]
-    n_segments = -(-n_odd // segment_size)
-    workers = _worker_count(threads, n_segments)
+    odd_base = small_primes(math.isqrt(limit))[1:].tolist()
     # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
     # i // 8 of the same buffer, whatever the host's byte order.
     words = np.zeros(_BLOCK * -(-n_odd // (64 * _BLOCK)), dtype="<u8")
     store = words.view(np.uint8)
-    seg_bytes = segment_size // 8
+    seg_bytes = SEGMENT_SIZE // 8
 
-    def sieve_segment(k: int, seg: np.ndarray) -> None:
-        lo_i = k * segment_size
-        hi_i = min(lo_i + segment_size, n_odd)
-        seg[:] = True
-        if hi_i - lo_i < segment_size:
-            seg[hi_i - lo_i :] = False
-        lo_n = 2 * lo_i + 3
-        hi_n = 2 * (hi_i - 1) + 3
-        for p in odd_base:
-            start = p * p
-            if start > hi_n:
-                break
-            if start < lo_n:
-                start = ((lo_n + p - 1) // p) * p
-                if start % 2 == 0:
-                    start += p
-                if start > hi_n:
-                    continue
-            seg[(start - lo_n) // 2 :: p] = False
-        out = store[k * seg_bytes : (k + 1) * seg_bytes]
-        out[:] = np.packbits(seg, bitorder="little")[: len(out)]
+    def copy_windows(ks: range) -> None:
+        for k, window in _windows(limit, odd_base, ks):
+            out = store[k * seg_bytes : (k + 1) * seg_bytes]
+            out[:] = window.view(np.uint8)[: len(out)]
 
-    def sieve_segments(first: int) -> None:
-        # Every workers-th window from first on, in one reused buffer: the
-        # pool holds one task and one window per worker, not one per window.
-        seg = np.empty(segment_size, dtype=bool)
-        for k in range(first, n_segments, workers):
-            sieve_segment(k, seg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(sieve_segments, range(workers)))  # re-raises
-    else:
-        sieve_segments(0)
-
+    _fan_out(copy_windows, threads, -(-n_odd // SEGMENT_SIZE))
     return PrimeSieve(limit, words, *_block_counts(words))
+
+
+def count_upto(limit: int, *, threads: int = 1) -> tuple[int, int]:
+    """(pi(limit), pi2(limit)) for limit >= 2, the same as a store's
+    count_primes_upto and count_twins_upto, counted from the windows of
+    _windows as they pass: memory for the base primes and one window per
+    thread, never a store."""
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    _admit(_estimate_bytes(limit, threads, store=False), DEFAULT_MEMORY_BUDGET)
+    odd_base = small_primes(math.isqrt(limit))[1:].tolist()
+    n_words, top = -(-SEGMENT_SIZE // 64), SEGMENT_SIZE - 1
+
+    def count_run(ks: range) -> tuple[int, int, int, int]:
+        # Primes and twins in a run of windows, and the run's first and last
+        # bit: a twin pair may straddle two windows, in a run or across two.
+        primes = twins = first = last = 0
+        t, scratch = np.empty(n_words, "<u8"), np.empty(n_words, "<u8")
+        pop = np.empty(n_words, np.uint8)
+        for k, w in _windows(limit, odd_base, ks):
+            primes += int(np.bitwise_count(w, out=pop).sum())
+            _twin_bits(w, w[1:], t, scratch)
+            twins += int(np.bitwise_count(t, out=pop).sum()) + (last & w.item(0))
+            if k == ks.start:
+                first = w.item(0) & 1
+            last = (w.item(top >> 6) >> (top & 63)) & 1
+        return primes, twins, first, last
+
+    runs = _fan_out(count_run, threads, -(-((limit - 1) // 2) // SEGMENT_SIZE))
+    primes, twins, _, _ = map(sum, zip(*runs))
+    joins = sum(a[3] & b[2] for a, b in zip(runs, runs[1:]))
+    return 1 + primes, twins + joins

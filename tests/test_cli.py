@@ -267,13 +267,15 @@ def test_failure_is_one_error_line(case, tmp_path):
 
 
 # Values that either run small or are refused before anything is allocated:
-# 10**12 is refused by the memory budget wherever it is read, and no thread
-# count above 2 is drawn.  Valid values are drawn twice as often as others.
+# 10**18 is refused by the memory budget wherever it is read (its base
+# primes alone, up to 10**9, would not fit), and no thread count above 2 is
+# drawn.  10**12 would not do: `sieve` counts to it in O(sqrt x) memory.
+# Valid values are drawn twice as often as others.
 def _mostly(valid, other):
     return st.one_of(valid, valid, other)
 
 
-_REFUSED = st.just(10**12)
+_REFUSED = st.just(10**18)
 _SIZE = _mostly(st.integers(5, 20_000), st.one_of(st.integers(-5, 4), _REFUSED))
 _VALUES = {
     "--limit": _SIZE,

@@ -26,6 +26,14 @@ def test_first_primes_prefixes():
     assert list(ps) == sorted(ps) and len(set(ps)) == 100
 
 
+def test_first_primes_keeps_one_result():
+    # The budget admits each tuple alone, so the cache never holds two.
+    first_primes(7)
+    first_primes(8)
+    assert first_primes.cache_info().currsize == 1
+    assert first_primes(7) == (2, 3, 5, 7, 11, 13, 17)
+
+
 @pytest.mark.parametrize(
     "y,r,expected",
     [

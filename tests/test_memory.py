@@ -1,4 +1,6 @@
-"""The memory budget is an upper bound on what a build really takes.
+"""The memory budget is an upper bound on what a build really takes, it
+does not count memory that a process once held, and `sieve` counts without
+a store.
 
 Each measurement runs in a fresh interpreter that records its own
 ``ru_maxrss``.  Linux carries a process's peak RSS across fork and exec, so
@@ -60,3 +62,62 @@ def test_1e9_builds_inside_the_default_budget():
     assert got["peak"] < sieve_mod.DEFAULT_MEMORY_BUDGET
     # 62.5 MB of words and 15.6 MB of block counts; 106 MiB measured.
     assert got["peak"] < 128 * 1024 * 1024
+
+
+_SIEVE_CLI = """
+import resource, sys
+from twinprimes.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_sieve_1e9_counts_without_a_store():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH,
+         sys.executable, "-c", _SIEVE_CLI, "sieve", "--limit", str(10**9)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, peak_kib = proc.stdout.splitlines()
+    # pi_pi as a store built at 50,847,534 counts it.
+    assert lines == ["limit=1000000000", "pi=50847534", "pi2=3424506",
+                     "pi_pi=3048955"]
+    # A store at 10**9 peaks at ~107 MiB; the count-only passes at ~32 MiB,
+    # about what the interpreter and numpy take on their own.
+    assert int(peak_kib) * 1024 < 48 * 1024 * 1024
+
+
+# Holds 96 MiB, frees it, then execs the child, which keeps that peak RSS.
+_HIGH_PEAK = """
+import os, sys
+import numpy as np
+np.ones(96 * 2**20, dtype=np.uint8)
+os.execv(sys.executable, [sys.executable, "-c", sys.argv[1]])
+"""
+
+_BELOW_PEAK = """
+import json, resource
+from twinprimes import sieve
+peak = 1024 * resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sieve.DEFAULT_MEMORY_BUDGET = peak  # peak plus any estimate would not fit
+print(json.dumps({
+    "peak": peak, "pass": sieve.count_upto(10**6),
+    "small": len(sieve.small_primes(10**6)),
+    "store": sieve.build_sieve(10**6, memory_budget=peak).count_twins_upto(
+        10**6),
+}))
+"""
+
+
+def test_an_inherited_peak_is_not_counted():
+    proc = subprocess.run(
+        [sys.executable, "-c", _HIGH_PEAK, _BELOW_PEAK],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["peak"] >= 96 * 2**20
+    assert got["pass"] == [78_498, 8_169]
+    assert (got["small"], got["store"]) == (78_498, 8_169)

@@ -1,4 +1,6 @@
+import math
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +13,7 @@ from twinprimes import (
     MemoryBudgetError,
     SieveRangeError,
     build_sieve,
+    count_upto,
     small_primes,
 )
 from twinprimes import sieve as sieve_mod
@@ -133,9 +136,11 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     with pytest.raises(MemoryBudgetError):
         small_primes(10**12)
     # The bound is not below a flag byte per n plus 16 bytes per prime at
-    # 10**6, more than the call really holds (next test).
+    # 10**6, more than the call really holds (next test), on top of what the
+    # process holds.
+    monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 10**8)
     held = 10**6 + 1 + 16 * 78_498
-    monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", held)
+    monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 10**8 + held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
     assert len(small_primes(10**5)) == 9592
@@ -246,3 +251,122 @@ def test_answers_do_not_depend_on_the_shift_block(monkeypatch):
     for x in range(2, 5001):
         assert sliced.count_primes_upto(x) == whole.count_primes_upto(x), x
         assert sliced.count_twins_upto(x) == whole.count_twins_upto(x), x
+
+
+# The count-only pass reads the windows that a build stores.  Windows of 64
+# and 72 odd numbers put many window edges below small limits, and 72 is not
+# a whole number of 64-bit words.
+@pytest.fixture(scope="module")
+def store_3e5():
+    return build_sieve(3 * 10**5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("segment_size", [64, 72])
+def test_count_pass_matches_the_store_at_every_small_limit(
+        trial_pi_1e4, trial_twin_1e4, store_3e5, segment_size, threads,
+        monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    for x in range(5, 3001):
+        expected = (trial_pi_1e4[x], trial_twin_1e4[x])
+        assert count_upto(x, threads=threads) == expected, x
+        assert (store_3e5.count_primes_upto(x),
+                store_3e5.count_twins_upto(x)) == expected, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(limit=st.integers(5, 3 * 10**5), threads=st.sampled_from([1, 2]),
+       segment_size=st.sampled_from([64, 72, 2**20]))
+def test_count_pass_matches_the_store(store_3e5, limit, threads,
+                                      segment_size):
+    with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size):
+        got = count_upto(limit, threads=threads)
+    assert got == (store_3e5.count_primes_upto(limit),
+                   store_3e5.count_twins_upto(limit))
+
+
+def test_count_pass_with_more_workers_than_cores(store_3e5, monkeypatch):
+    # Eight workers on any host, switching threads every microsecond: each
+    # counts its own run of windows and returns its own totals and edges.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for limit in (10**5, 3 * 10**5):
+            assert count_upto(limit, threads=8) == (
+                store_3e5.count_primes_upto(limit),
+                store_3e5.count_twins_upto(limit))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("segment_size", [8, 64, 2**20])
+def test_count_pass_below_five(trial_pi_1e4, trial_twin_1e4, segment_size,
+                               monkeypatch):
+    # The CLI's second pass counts up to pi(limit), which may be this small.
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    for x in range(2, 11):
+        assert count_upto(x) == (trial_pi_1e4[x], trial_twin_1e4[x]), x
+    for x in (1, 0, -3):
+        with pytest.raises(ValueError):
+            count_upto(x)
+    with pytest.raises(ValueError):
+        count_upto(100, threads=0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_pass_twin_pair_across_a_window_edge(threads, monkeypatch):
+    # With 64 odd numbers per window, 641 is the last (bit 319) of window 4
+    # and 643 the first of window 5.  At 1283 there are 11 windows, and two
+    # workers take windows 0-4 and 5-10, so the pair also straddles two runs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
+    twins = oracles.twin_prefix_counts(1283)
+    assert twins[643] == twins[642] + 1
+    for x in (642, 643, 1283):
+        assert count_upto(x, threads=threads)[1] == twins[x], x
+
+
+def test_count_pass_budget_counts_only_what_it_holds():
+    # The estimate alone decides; neither limit is counted here.  10**12
+    # holds base primes to 10**6 and a window per thread, 10**18 base primes
+    # to 10**9, which alone exceed the budget.
+    for threads in (1, 2):
+        sieve_mod._admit(_estimate_bytes(10**12, threads, store=False),
+                         sieve_mod.DEFAULT_MEMORY_BUDGET)
+        with pytest.raises(MemoryBudgetError):
+            count_upto(10**18, threads=threads)
+    assert (_estimate_bytes(10**12, 1, store=False)
+            < _estimate_bytes(10**12, 1) // 1000)
+
+
+def test_budget_counts_what_the_process_holds(monkeypatch):
+    # A budget one byte below what the process holds plus the estimate
+    # refuses; the estimate alone would fit.
+    held, limit = 10**8, 10**6
+    monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: held)
+    need = held + _estimate_bytes(limit, 1)
+    with pytest.raises(MemoryBudgetError):
+        build_sieve(limit, memory_budget=need - 1)
+    build_sieve(limit, memory_budget=need)
+    growth = limit + 1 + 16 * math.ceil(1.25506 * limit / math.log(limit))
+    for run, need in ((count_upto, held + _estimate_bytes(limit, 1, False)),
+                      (small_primes, held + growth)):
+        monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(MemoryBudgetError):
+            run(limit)
+        monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need)
+        run(limit)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_rss_is_what_the_process_holds_now():
+    # Not the peak so far: memory once held and freed no longer counts.
+    before = sieve_mod._rss_bytes()
+    block = np.ones(32 * 2**20, dtype=np.uint8)
+    held = sieve_mod._rss_bytes()
+    del block
+    assert held - before > 24 * 2**20
+    assert held - sieve_mod._rss_bytes() > 24 * 2**20
