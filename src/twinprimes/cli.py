@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import estimators, legendre, report
-from .report import (
+# Each handler imports the modules it runs, so `sieve` loads no others.
+from .config import (
     EXIT_INVARIANT_FAILURE,
     EXIT_OK,
     EXIT_REFERENCE_MISMATCH,
@@ -112,6 +111,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import report
     table_id = int(args.command[-1])
     cfg = _run_config(args)
     rows = report.table_rows(table_id, cfg.build(), cfg)
@@ -120,6 +120,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import estimators, legendre
     x = args.x
     if x < 5:
         raise ValueError(f"--x must be >= 5, got {x}")
@@ -159,6 +160,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import estimators, report
     cfg = _run_config(args)
     rows = report.table3_rows(cfg.build(), cfg)
     for row in rows:
@@ -168,6 +170,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    from . import legendre
     y, r = args.y, args.r
     # Built first, so the memory budget refuses an oversized --y at once.
     sieve = _run_config(args, limit=max(args.limit, y, 5)).build()
@@ -180,13 +183,14 @@ def _cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _audit_exit(audit: report.AuditReport, cfg: RunConfig) -> int:
+def _audit_exit(audit, cfg: RunConfig) -> int:
     if audit.non_matching():
         return EXIT_INVARIANT_FAILURE if cfg.strict_paper else EXIT_REFERENCE_MISMATCH
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
+    from . import report
     cfg = _run_config(args)
     audit = report.audit_against_reference(cfg.build(), cfg)
     text = (
@@ -199,6 +203,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    import json
+
+    from . import report
     cfg = _run_config(args)
     sieve = cfg.build()
     invariants = report.run_invariant_suite(sieve, cfg)
@@ -225,6 +232,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import report
     # Absolute, so that _write does not resolve it a second time inside
     # $TWINPRIMES_OUTDIR.
     outdir = Path(

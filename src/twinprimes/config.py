@@ -1,0 +1,62 @@
+"""Run configuration and exit codes; importing this module loads no numpy."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+# Calibrated mean density ratio (overridable via `calibrate`) and the
+# truncation bound of every Euler product.
+DEFAULT_H_C = 1.325067
+DEFAULT_EULER_PMAX = 10**6
+
+# Exit codes (shared with the CLI): all good / invariant violated /
+# reference-value mismatches only.
+EXIT_OK = 0
+EXIT_INVARIANT_FAILURE = 2
+EXIT_REFERENCE_MISMATCH = 3
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a reproducible run depends on.
+
+    h_c is the estimator's calibrated density ratio and euler_pmax the
+    truncation bound of every Euler product.  The thread count never
+    changes an output byte; it only tunes the sieve build.
+    """
+
+    limit: int = 10**6
+    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
+    h_c: float = DEFAULT_H_C
+    euler_pmax: int = DEFAULT_EULER_PMAX
+    strict_paper: bool = False
+    threads: int = 1
+
+    def __post_init__(self):
+        if self.limit < 5:
+            raise ValueError(f"limit must be >= 5, got {self.limit}")
+        if self.checkpoints is not None:
+            bad = [x for x in self.checkpoints if not 5 <= x <= self.limit]
+            if bad:
+                raise ValueError(
+                    f"checkpoints outside [5, limit={self.limit}]: {bad}"
+                )
+        if not 0 < self.h_c < float("inf"):
+            raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
+        if self.euler_pmax < 100:
+            raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
+
+    def build(self):
+        """A PrimeSieve over [2, limit]."""
+        from .sieve import build_sieve
+
+        return build_sieve(self.limit, threads=self.threads)
+
+    def xs_for(self, table_id: int) -> tuple[int, ...]:
+        if self.checkpoints is not None:
+            return self.checkpoints
+        from .report import reference_checkpoints
+
+        return tuple(
+            x for x in reference_checkpoints(table_id) if x <= self.limit
+        )

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import fmean
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
 from .sieve import PrimeSieve, small_primes
 
 LN_1_5 = math.log(1.5)
@@ -30,11 +30,6 @@ LN_1_6 = math.log(1.6)
 # Empirical cap on the density ratio h, derived from the upper sandwich
 # bound together with pi(x) > x/ln(x).
 H_RATIO_CAP = 5.12
-
-# Calibrated mean density ratio (overridable via `calibrate`) and the
-# truncation bound of every Euler product.
-DEFAULT_H_C = 1.325067
-DEFAULT_EULER_PMAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def mean_density_ratio(rows: Iterable[EstimateRow]) -> float:
     hs = [row.h for row in rows]
     if not hs:
         raise ValueError("cannot calibrate from an empty row set")
-    return fmean(hs)
+    return math.fsum(hs) / len(hs)
 
 
 def twin_count_estimate(x: int, pi_x: int, h_c: float = DEFAULT_H_C) -> int:

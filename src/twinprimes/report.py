@@ -30,19 +30,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import counting, estimators, legendre
+from .config import RunConfig
 from .counting import CountCheckpoint
 from .estimators import BoundsRow, EstimateRow, log_grid, round_half_away
-from .sieve import PrimeSieve, build_sieve
+from .sieve import PrimeSieve
 
 STATUS_MATCH = "match"
 STATUS_FORMATTING = "formatting-only"
 STATUS_MISMATCH = "mismatch"
-
-# Exit codes (shared with the CLI): all good / invariant violated /
-# reference-value mismatches only.
-EXIT_OK = 0
-EXIT_INVARIANT_FAILURE = 2
-EXIT_REFERENCE_MISMATCH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -63,51 +58,6 @@ def _ref() -> dict:
 def reference_checkpoints(table_id: int) -> tuple[int, ...]:
     """The x column of a reference table, in printed order."""
     return tuple(row["x"] for row in _ref()[f"table{table_id}"]["rows"])
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a reproducible run depends on.
-
-    h_c is the estimator's calibrated density ratio and euler_pmax the
-    truncation bound of every Euler product.  The thread count never
-    changes an output byte; it only tunes the sieve build.
-    """
-
-    limit: int = 10**6
-    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
-    h_c: float = estimators.DEFAULT_H_C
-    euler_pmax: int = estimators.DEFAULT_EULER_PMAX
-    strict_paper: bool = False
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.limit < 5:
-            raise ValueError(f"limit must be >= 5, got {self.limit}")
-        if self.checkpoints is not None:
-            bad = [x for x in self.checkpoints if not 5 <= x <= self.limit]
-            if bad:
-                raise ValueError(
-                    f"checkpoints outside [5, limit={self.limit}]: {bad}"
-                )
-        if not 0 < self.h_c < float("inf"):
-            raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
-        if self.euler_pmax < 100:
-            raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
-
-    def build(self) -> PrimeSieve:
-        return build_sieve(self.limit, threads=self.threads)
-
-    def xs_for(self, table_id: int) -> tuple[int, ...]:
-        if self.checkpoints is not None:
-            return self.checkpoints
-        return tuple(
-            x for x in reference_checkpoints(table_id) if x <= self.limit
-        )
 
 
 # ---------------------------------------------------------------------------

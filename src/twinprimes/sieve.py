@@ -3,8 +3,12 @@ counting, and a count-only pass in O(sqrt(limit)) memory.
 
 One generator, _windows, sieves windows of SEGMENT_SIZE odd numbers in
 order, one bit per odd number (2 is special-cased) in little-endian 64-bit
-words, on one thread or several.  build_sieve copies them into a store with
-one cumulative popcount of primes and one of twin bits per block of _BLOCK
+words, on one thread or several.  Each window starts as a copy of a tiled
+pattern with the odd multiples of 3, 5, 7, 11 and 13 already cleared
+(primesieve's pre-sieve, period 15,015 odd numbers), so only the larger
+base primes are written one by one, from first multiples computed for all
+of them at once.  build_sieve copies the windows into a store with one
+cumulative popcount of primes and one of twin bits per block of _BLOCK
 words (a rank directory in the sense of Jacobson 1989 and Vigna 2008): a
 count up to any x <= limit is one cumulative count plus the popcount of one
 masked span of at most a block, from which twin bits are derived.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,6 +31,10 @@ SEGMENT_SIZE = 1 << 20
 
 # Construction refuses to allocate more than this unless overridden.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
+
+# The pre-sieve primes; their pattern repeats every _PERIOD odd numbers.
+_PRESIEVE = (3, 5, 7, 11, 13)
+_PERIOD = math.prod(_PRESIEVE)
 
 # Words per cumulative count: one int64 per 512 bits of store.
 _BLOCK = 8
@@ -41,14 +48,16 @@ class SieveRangeError(ValueError):
 
 
 class MemoryBudgetError(MemoryError):
-    """Requested limit needs more memory than the configured budget."""
+    """A run would allocate more than the memory budget leaves: the bytes
+    it requested, on top of those the process holds, exceed the budget."""
 
-    def __init__(self, required_bytes: int, budget_bytes: int):
+    def __init__(self, required_bytes: int, held_bytes: int, budget_bytes: int):
         self.required_bytes = required_bytes
+        self.held_bytes = held_bytes
         self.budget_bytes = budget_bytes
         super().__init__(
-            f"sieve needs ~{required_bytes:,} bytes "
-            f"but the budget is {budget_bytes:,} bytes"
+            f"~{required_bytes:,} bytes requested on top of {held_bytes:,} "
+            f"held would pass the memory budget of {budget_bytes:,} bytes"
         )
 
 
@@ -64,9 +73,9 @@ def _rss_bytes() -> int:
 def _admit(required: int, budget: int) -> None:
     """Refuse, before allocating, `required` more bytes unless they fit in
     `budget` on top of what the process holds now."""
-    required += _rss_bytes()
-    if required > budget:
-        raise MemoryBudgetError(required, budget)
+    held = _rss_bytes()
+    if required + held > budget:
+        raise MemoryBudgetError(required, held, budget)
 
 
 def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
@@ -92,33 +101,43 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def _windows(limit: int, odd_base: list[int], ks: range):
+def _windows(limit: int, odd_base: np.ndarray, ks: range):
     """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
-    odd numbers in [3, limit], given the odd primes up to sqrt(limit).  Bit
-    j of words is store bit k * SEGMENT_SIZE + j, 0 past the window and past
-    limit."""
+    odd numbers in [3, limit], given the odd primes up to sqrt(limit) as
+    int64.  Bit j of words is store bit k * SEGMENT_SIZE + j, 0 past the
+    window and past limit."""
     segment_size = SEGMENT_SIZE
     n_odd = (limit - 1) // 2
     # One reused flag per odd number, padded to whole words with False.
     seg = np.empty(64 * -(-segment_size // 64), dtype=bool)
+    rows, tail = divmod(len(seg), _PERIOD)
+    # Two periods of flags for the odd numbers from 3, False at the odd
+    # multiples of the pre-sieve primes, so that a whole period can be read
+    # from any offset in the first.
+    pattern = np.ones(2 * _PERIOD, dtype=bool)
+    for p in _PRESIEVE:
+        pattern[(p - 3) // 2 :: p] = False
+    # Bit (p - 3) / 2 + m * p is an odd multiple of p, bit (p * p - 3) / 2
+    # the first that a window clears.
+    primes = odd_base[odd_base > _PRESIEVE[-1]]
+    steps = primes.tolist()
+    residues, squares = (primes - 3) // 2, (primes * primes - 3) // 2
     for k in ks:
         lo_i = k * segment_size
         hi_i = min(lo_i + segment_size, n_odd)
-        seg[:] = True
+        row = pattern[lo_i % _PERIOD :][:_PERIOD]
+        seg[: rows * _PERIOD].reshape(rows, _PERIOD)[:] = row
+        seg[rows * _PERIOD :] = row[:tail]
+        if k == 0:  # the pattern cleared the pre-sieve primes themselves
+            seg[[(p - 3) // 2 for p in _PRESIEVE]] = True
         seg[hi_i - lo_i :] = False
-        lo_n = 2 * lo_i + 3
-        hi_n = 2 * (hi_i - 1) + 3
-        for p in odd_base:
-            start = p * p
-            if start > hi_n:
-                break
-            if start < lo_n:
-                start = ((lo_n + p - 1) // p) * p
-                if start % 2 == 0:
-                    start += p
-                if start > hi_n:
-                    continue
-            seg[(start - lo_n) // 2 :: p] = False
+        # The first bit each prime clears in this window; primes whose
+        # square lies past it clear none.
+        n = int(np.searchsorted(squares, hi_i))
+        firsts = np.maximum((residues[:n] - lo_i) % primes[:n],
+                            squares[:n] - lo_i)
+        for start, p in zip(firsts.tolist(), steps):
+            seg[start::p] = False
         # Bit j lands in bit j % 8 of byte j // 8, so in bit j % 64 of
         # little-endian word j // 64, whatever the host's byte order.
         yield k, np.packbits(seg, bitorder="little").view("<u8")
@@ -139,6 +158,7 @@ def _fan_out(work, threads: int, n_windows: int) -> list:
             for i in range(workers)]
     if workers == 1:
         return [work(runs[0])]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, runs))  # re-raises
 
@@ -257,9 +277,11 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True) -> int:
     once; with store=False, on those of a count pass."""
     n_odd = (limit - 1) // 2
     root = math.isqrt(limit)
-    base = root + 1 + 56 * (root // 2 + 1)     # flags, int64s, list of ints
+    # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
+    # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld).
+    base = root + 1 + 128 * math.ceil(1.25506 * root / math.log(max(root, 2)))
     words = 8 * -(-SEGMENT_SIZE // 64)         # packed window, whole words
-    window = 8 * words + words                 # bool window padded to words
+    window = 9 * words + 2 * _PERIOD           # bool window, pattern, packed
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
     if not store:  # twin and shifted words and their popcounts, per thread
         return base + workers * (window + 2 * words + words // 8)
@@ -287,7 +309,7 @@ def build_sieve(
     _admit(_estimate_bytes(limit, threads), memory_budget)
 
     n_odd = (limit - 1) // 2
-    odd_base = small_primes(math.isqrt(limit))[1:].tolist()
+    odd_base = small_primes(math.isqrt(limit))[1:]
     # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
     # i // 8 of the same buffer, whatever the host's byte order.
     words = np.zeros(_BLOCK * -(-n_odd // (64 * _BLOCK)), dtype="<u8")
@@ -311,7 +333,7 @@ def count_upto(limit: int, *, threads: int = 1) -> tuple[int, int]:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     _admit(_estimate_bytes(limit, threads, store=False), DEFAULT_MEMORY_BUDGET)
-    odd_base = small_primes(math.isqrt(limit))[1:].tolist()
+    odd_base = small_primes(math.isqrt(limit))[1:]
     n_words, top = -(-SEGMENT_SIZE // 64), SEGMENT_SIZE - 1
 
     def count_run(ks: range) -> tuple[int, int, int, int]:

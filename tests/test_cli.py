@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,19 @@ def test_failure_is_one_error_line(case, tmp_path):
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_budget_error_names_the_requested_and_held_bytes():
+    # The first 13.5 million primes as a tuple of ints: a refusal by
+    # small_primes for first_primes, not by a sieve build.
+    proc = run_cli("phi", "--y", "100", "--r", "13500000")
+    assert proc.returncode == 1
+    m = re.fullmatch(r"error: ~([\d,]+) bytes requested on top of ([\d,]+) "
+                     r"held would pass the memory budget of 536,870,912 "
+                     r"bytes\n", proc.stderr)
+    assert m, proc.stderr
+    requested, held = (int(g.replace(",", "")) for g in m.groups())
+    assert requested > 536_870_912 > held >= 0
 
 
 # Values that either run small or are refused before anything is allocated:

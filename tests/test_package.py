@@ -1,0 +1,69 @@
+"""`import twinprimes` loads no module of the package and no numpy; each
+public name and module loads on first use, and `twinprimes sieve` loads only
+the modules it runs."""
+
+import subprocess
+import sys
+
+import pytest
+
+import twinprimes
+
+# The modules that perfbench/tracing.py reads off the package by name.
+_TRACED_MODULES = ("sieve", "counting", "legendre", "estimators", "report",
+                   "cli")
+
+
+def _loaded_after(code):
+    """sys.modules of a fresh interpreter after it runs code."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"{code}\nimport sys; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    loaded = _loaded_after("import twinprimes")
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m.startswith("twinprimes.")}
+
+
+def test_sieve_subcommand_loads_only_what_it_runs():
+    loaded = _loaded_after(
+        "from twinprimes import cli\n"
+        "assert cli.main(['sieve', '--limit', '1000']) == 0")
+    for name in ("report", "estimators", "legendre", "counting"):
+        assert f"twinprimes.{name}" not in loaded, name
+    for name in ("json", "statistics", "concurrent.futures"):
+        assert name not in loaded, name
+    assert {"twinprimes.cli", "twinprimes.sieve", "numpy"} <= loaded
+
+
+def test_every_exported_name_resolves():
+    listed = dir(twinprimes)
+    for name in twinprimes.__all__:
+        obj = getattr(twinprimes, name)
+        assert obj.__module__.startswith("twinprimes."), name
+        assert name in listed, name
+    namespace = {}
+    exec("from twinprimes import *", namespace)
+    assert set(twinprimes.__all__) <= set(namespace)
+
+
+def test_submodules_resolve_by_name():
+    # In a fresh interpreter, where no submodule has been imported yet.
+    loaded = _loaded_after(
+        "import sys, twinprimes\n"
+        f"for name in {_TRACED_MODULES!r}:\n"
+        "    module = getattr(twinprimes, name)\n"
+        "    assert module is sys.modules['twinprimes.' + name], name\n"
+        "    assert name in dir(twinprimes), name")
+    assert {f"twinprimes.{name}" for name in _TRACED_MODULES} <= loaded
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twinprimes.no_such_name

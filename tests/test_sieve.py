@@ -370,3 +370,63 @@ def test_rss_is_what_the_process_holds_now():
     del block
     assert held - before > 24 * 2**20
     assert held - sieve_mod._rss_bytes() > 24 * 2**20
+
+
+def _window_flags(limit):
+    """Every flag _windows yields for limit, window padding included."""
+    odd_base = small_primes(math.isqrt(limit))[1:]
+    segment_size = sieve_mod.SEGMENT_SIZE
+    ks = range(-(-((limit - 1) // 2) // segment_size))
+    flags = []
+    for k, words in sieve_mod._windows(limit, odd_base, ks):
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert not bits[segment_size:].any(), k
+        flags.append(bits[:segment_size])
+    return np.concatenate(flags).astype(bool)
+
+
+def _plain_odd_flags(limit):
+    """Primality of 3, 5, 7, ... <= limit from an unsegmented bool sieve."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags[3::2]
+
+
+# Windows of 64 and 72 odd numbers, fewer and more than the 15,015 of the
+# pre-sieve pattern, 8 of its periods (each window starts where the pattern
+# does), 64 of them (a window of whole periods) and the default 2**20.
+_PATTERN_EDGE_SIZES = [64, 72, 15_008, 15_024, 120_120, 960_960, 2**20]
+
+
+@settings(max_examples=60, deadline=None)
+@given(limit=st.integers(5, 3 * 10**5),
+       segment_size=st.sampled_from(_PATTERN_EDGE_SIZES))
+def test_window_flags_match_a_plain_sieve(limit, segment_size):
+    with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size):
+        got = _window_flags(limit)
+    want = _plain_odd_flags(limit)
+    assert np.array_equal(got[: len(want)], want)
+    assert not got[len(want):].any()
+    if limit <= 10**4:
+        odd = range(3, limit + 1, 2)
+        assert got[: len(want)].tolist() == [oracles.is_prime_trial(n)
+                                             for n in odd]
+
+
+@pytest.mark.parametrize("segment_size", [8, 64, 2**20])
+def test_window_flags_below_the_first_base_prime_past_13(segment_size,
+                                                         monkeypatch):
+    # Below 17**2 every base prime is a pre-sieve prime, so the pattern and
+    # window 0's restored 3..13 alone decide every flag.
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    for limit in range(5, 201):
+        got = _window_flags(limit)
+        odd = range(3, limit + 1, 2)
+        assert got[: len(odd)].tolist() == [oracles.is_prime_trial(n)
+                                            for n in odd], limit
+        assert not got[len(odd):].any(), limit
+    got = _window_flags(200)
+    assert all(got[(p - 3) // 2] for p in sieve_mod._PRESIEVE)
