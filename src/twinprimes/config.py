@@ -36,10 +36,15 @@ class RunConfig:
         if self.limit < 5:
             raise ValueError(f"limit must be >= 5, got {self.limit}")
         if self.checkpoints is not None:
-            bad = [x for x in self.checkpoints if not 5 <= x <= self.limit]
+            xs = self.checkpoints
+            bad = [x for x in xs if not 5 <= x <= self.limit]
             if bad:
                 raise ValueError(
                     f"checkpoints outside [5, limit={self.limit}]: {bad}"
+                )
+            if any(b <= a for a, b in zip(xs, xs[1:])):
+                raise ValueError(
+                    f"checkpoints must be strictly increasing, got {list(xs)}"
                 )
         if not 0 < self.h_c < float("inf"):
             raise ValueError(f"h_c must be positive and finite, got {self.h_c}")

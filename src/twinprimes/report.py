@@ -4,14 +4,18 @@ The published reference tables ship as a versioned JSON fixture
 (``data/reference_tables.json``).  Every cell of every table is recomputed
 from the sieve and classified:
 
-``match``            equal after the column's documented rounding rule
+``match``            equal after the column's rounding in the fixture
                      (integers exact; ratio 3 decimals; h 6; rel_error 4;
-                     A/B rendered to nearest integer, ties away from zero).
-``formatting-only``  not equal under our rounding rule, but within one unit
+                     A/B to the nearest integer).
+``formatting-only``  not equal under that rounding, but within one unit
                      in the last printed place, i.e. explainable as a
                      different rounding direction at the same precision.
 ``mismatch``         differs beyond printing precision; a genuine erratum
                      in the reference or a different counting convention.
+
+CSV and text print each cell at that same rounding, ties away from zero,
+so the audit and the printed tables follow one rule, the fixture's.  JSON
+keeps full precision.
 
 Cross-table disagreements between the reference tables themselves (the
 published pi2 columns contradict each other at several x) are detected and
@@ -25,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from importlib import resources
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,60 +90,40 @@ def table_rows(table_id: int, sieve: PrimeSieve, cfg: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # rendering
 
-# (field, csv formatter, csv parser) per table; CSV prints at the reference
-# tables' precision, JSON keeps full precision.
+
+def _columns(table_id: int) -> list[tuple[str, int | str | None]]:
+    """(name, rounding) of each printed column: x, then the fixture's."""
+    table = _ref()[f"table{table_id}"]
+    rounding = table.get("rounding", {})
+    return [("x", None)] + [(c, rounding.get(c)) for c in table["columns"]]
 
 
-def _f3(v: float) -> str:
-    return f"{v:.3f}"
+def _round_places(v: float, places: int) -> float:
+    scale = 10.0**places
+    return round_half_away(v * scale) / scale
 
 
-def _f4(v: float) -> str:
-    return f"{v:.4f}"
+def _cell(value, rounding) -> str:
+    """One cell: integers exact, "int" to the nearest integer and n to n
+    decimals, ties away from zero."""
+    if rounding is None:
+        return str(value)
+    if rounding == "int":
+        return str(round_half_away(value))
+    return f"{_round_places(value, rounding):.{rounding}f}"
 
 
-def _f6(v: float) -> str:
-    return f"{v:.6f}"
-
-
-def _render_int(v: float) -> str:
-    return str(round_half_away(v))
-
-
-_TABLE_FORMATS: dict[int, list[tuple[str, Callable, Callable]]] = {
-    1: [
-        ("x", str, int),
-        ("pi_x", str, int),
-        ("pi2_x", str, int),
-        ("pi_pi_x", str, int),
-        ("ratio", _f3, float),
-    ],
-    2: [
-        ("x", str, int),
-        ("a_bound", _render_int, float),
-        ("pi2_x", str, int),
-        ("b_bound", _render_int, float),
-    ],
-    3: [
-        ("x", str, int),
-        ("h", _f6, float),
-        ("pi2_x", str, int),
-        ("pi2_star", str, int),
-        ("abs_delta", str, int),
-        ("rel_error", _f4, float),
-    ],
-}
-
-
-def _cells(table_id: int, row) -> list[str]:
-    return [fmt(getattr(row, name)) for name, fmt, _ in _TABLE_FORMATS[table_id]]
+def _cells(table_id: int, rows: Sequence) -> list[list[str]]:
+    """The header, then one line of cells per row."""
+    columns = _columns(table_id)
+    return [[name for name, _ in columns]] + [
+        [_cell(getattr(row, name), r) for name, r in columns] for row in rows
+    ]
 
 
 def render_csv(table_id: int, rows: Sequence) -> str:
     """Deterministic CSV: header, comma-separated, '.' decimals, LF endings."""
-    header = ",".join(name for name, _, _ in _TABLE_FORMATS[table_id])
-    lines = [header] + [",".join(_cells(table_id, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(line) + "\n" for line in _cells(table_id, rows))
 
 
 def render_json(table_id: int, rows: Sequence) -> str:
@@ -150,16 +134,12 @@ def render_json(table_id: int, rows: Sequence) -> str:
 
 def render_text(table_id: int, rows: Sequence) -> str:
     """Aligned plain-text table at the same precision as the CSV."""
-    names = [name for name, _, _ in _TABLE_FORMATS[table_id]]
-    body = [_cells(table_id, row) for row in rows]
-    widths = [
-        max([len(name)] + [len(line[i]) for line in body])
-        for i, name in enumerate(names)
-    ]
-    out = ["  ".join(n.rjust(w) for n, w in zip(names, widths))]
-    for line in body:
-        out.append("  ".join(c.rjust(w) for c, w in zip(line, widths)))
-    return "\n".join(out) + "\n"
+    lines = _cells(table_id, rows)
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    return "".join(
+        "  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n"
+        for line in lines
+    )
 
 
 def render_table(table_id: int, rows: Sequence, fmt: str) -> str:
@@ -171,12 +151,13 @@ def parse_table_csv(table_id: int, text: str) -> list[tuple]:
     """Parse an emitted CSV back into typed row tuples (rendered precision)."""
     lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
-    expected = [name for name, _, _ in _TABLE_FORMATS[table_id]]
+    columns = _columns(table_id)
+    expected = [name for name, _ in columns]
     if header != expected:
         raise ValueError(f"unexpected header {header!r}, want {expected!r}")
-    parsers = [parser for _, _, parser in _TABLE_FORMATS[table_id]]
+    types = [int if rounding is None else float for _, rounding in columns]
     return [
-        tuple(parse(cell) for parse, cell in zip(parsers, line.split(",")))
+        tuple(parse(cell) for parse, cell in zip(types, line.split(",")))
         for line in lines[1:]
     ]
 
@@ -231,11 +212,6 @@ class AuditReport:
         raise KeyError((table_id, x, column))
 
 
-def _round_places(v: float, places: int) -> float:
-    scale = 10.0**places
-    return round_half_away(v * scale) / scale
-
-
 def _classify(computed: float, reference: float, rounding) -> str:
     if rounding is None:  # exact integer column
         return STATUS_MATCH if computed == reference else STATUS_MISMATCH
@@ -262,19 +238,15 @@ def audit_against_reference(sieve: PrimeSieve, cfg: RunConfig) -> AuditReport:
         t: {r.x: r for r in table_rows(t, sieve, ref_cfg)} for t in (1, 2, 3)
     }
     for table_id in (1, 2, 3):
-        table = ref[f"table{table_id}"]
-        rounding = table.get("rounding", {})
-        for row in table["rows"]:
+        for row in ref[f"table{table_id}"]["rows"]:
             x = row["x"]
             if x > sieve.limit:
                 continue
             computed = computed_rows[table_id][x]
-            for column in table["columns"]:
+            for column, rounding in _columns(table_id)[1:]:
                 reference_value = row[column]
                 computed_value = getattr(computed, column)
-                status = _classify(
-                    computed_value, reference_value, rounding.get(column)
-                )
+                status = _classify(computed_value, reference_value, rounding)
                 note = ""
                 if column in row.get("printed", {}):
                     note = (
@@ -385,30 +357,24 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
     report = InvariantReport()
     add = report.checks.append
     grid = log_grid(5, min(sieve.limit, 10**6), 200).tolist()
+    decades = [10**k for k in range(3, 7) if 10**k <= sieve.limit]
+    # pi, pi2 and pi(pi), counted once at every x that the checks below read.
+    points = sorted({*grid, *decades})
+    at = {row.x: row for row in counting.checkpoint_rows(sieve, points)}
 
-    bad = []
-    for x in grid:
-        lo, up = estimators.trost_bounds(x)
-        if not lo < sieve.count_primes_upto(x) < up:
-            bad.append(x)
-    add(InvariantCheck(
-        "trost_bounds_grid", not bad,
-        f"{len(grid)} grid points, violations at {bad[:8]}" if bad
-        else f"{len(grid)} grid points, 0 violations"))
+    def grid_check(name: str, bad: list[int]) -> None:
+        add(InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
+            f"violations at {bad[:8]}" if bad else "0 violations")))
 
-    bad = [x for x in grid if not estimators.sandwich_check(sieve, x).holds]
-    add(InvariantCheck(
-        "sandwich_grid", not bad,
-        f"{len(grid)} grid points, violations at {bad[:8]}" if bad
-        else f"{len(grid)} grid points, 0 violations"))
+    grid_check("trost_bounds_grid", [
+        x for x, (lo, up) in zip(grid, map(estimators.trost_bounds, grid))
+        if not lo < at[x].pi_x < up])
+    grid_check("sandwich_grid", [
+        x for x, (a, b) in zip(grid, map(estimators.sandwich_bounds, grid))
+        if not a < at[x].pi_pi_x < b])
 
-    bad = []
-    for x in grid:
-        pi2 = sieve.count_twins_upto(x)
-        if pi2 > 0:
-            h = estimators.density_ratio(x, sieve.count_primes_upto(x), pi2)
-            if not 0 < h < estimators.H_RATIO_CAP:
-                bad.append(x)
+    bad = [x for x in grid if not 0 < estimators.density_ratio(
+        x, at[x].pi_x, at[x].pi2_x) < estimators.H_RATIO_CAP]
     add(InvariantCheck(
         "h_ratio_cap_grid", not bad,
         f"violations at {bad[:8]}" if bad else
@@ -416,25 +382,17 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     ok = True
     detail = "pi and pi2 non-decreasing over the full range"
-    probe = grid[:: max(1, len(grid) // 16)]
+    probe = [at[x] for x in grid[:: max(1, len(grid) // 16)]]
     for a, b in zip(probe, probe[1:]):
-        if sieve.count_primes_upto(b) < sieve.count_primes_upto(a) or (
-            sieve.count_twins_upto(b) < sieve.count_twins_upto(a)
-        ):
-            ok, detail = False, f"counts decreased between {a} and {b}"
-    if any(
-        sieve.count_twins_upto(x) > sieve.count_primes_upto(x) for x in probe
-    ):
+        if b.pi_x < a.pi_x or b.pi2_x < a.pi2_x:
+            ok, detail = False, f"counts decreased between {a.x} and {b.x}"
+    if any(row.pi2_x > row.pi_x for row in probe):
         ok, detail = False, "pi2 exceeded pi"
     add(InvariantCheck("count_monotonicity", ok, detail))
 
-    decades = [10**k for k in range(3, 7) if 10**k <= sieve.limit]
     if len(decades) >= 2:
-        dens_x = [sieve.count_twins_upto(x) / x for x in decades]
-        dens_pi = [
-            sieve.count_twins_upto(x) / sieve.count_primes_upto(x)
-            for x in decades
-        ]
+        dens_x = [at[x].pi2_x / x for x in decades]
+        dens_pi = [at[x].pi2_x / at[x].pi_x for x in decades]
         ok = all(b < a for a, b in zip(dens_x, dens_x[1:])) and all(
             b < a for a, b in zip(dens_pi, dens_pi[1:])
         )
@@ -502,8 +460,7 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     if decades:
         ratios = [
-            estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
-            / sieve.count_twins_upto(x)
+            estimators.hardy_littlewood_simple(x, cfg.euler_pmax) / at[x].pi2_x
             for x in decades
         ]
         growing = all(b > a for a, b in zip(ratios, ratios[1:]))

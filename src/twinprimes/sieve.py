@@ -13,7 +13,8 @@ words (a rank directory in the sense of Jacobson 1989 and Vigna 2008): a
 count up to any x <= limit is one cumulative count plus the popcount of one
 masked span of at most a block, from which twin bits are derived.
 count_upto reads the same windows and keeps no store, only the base primes
-and one window per thread.
+and one window per thread: it counts each window with the store's block
+counter, _block_counts, and joins neighbouring windows at their edge bits.
 """
 
 from __future__ import annotations
@@ -104,12 +105,12 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
 def _windows(limit: int, odd_base: np.ndarray, ks: range):
     """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
     odd numbers in [3, limit], given the odd primes up to sqrt(limit) as
-    int64.  Bit j of words is store bit k * SEGMENT_SIZE + j, 0 past the
-    window and past limit."""
+    int64.  words is whole blocks of _BLOCK words; its bit j is store bit
+    k * SEGMENT_SIZE + j, 0 past the window and past limit."""
     segment_size = SEGMENT_SIZE
     n_odd = (limit - 1) // 2
-    # One reused flag per odd number, padded to whole words with False.
-    seg = np.empty(64 * -(-segment_size // 64), dtype=bool)
+    # One reused flag per odd number, padded to whole blocks with False.
+    seg = np.empty(64 * _BLOCK * -(-segment_size // (64 * _BLOCK)), dtype=bool)
     rows, tail = divmod(len(seg), _PERIOD)
     # Two periods of flags for the odd numbers from 3, False at the odd
     # multiples of the pre-sieve primes, so that a whole period can be read
@@ -163,17 +164,6 @@ def _fan_out(work, threads: int, n_windows: int) -> list:
         return list(pool.map(work, runs))  # re-raises
 
 
-def _twin_bits(w: np.ndarray, nxt: np.ndarray, out: np.ndarray,
-               scratch: np.ndarray) -> np.ndarray:
-    """Twin bits of words w into out: bit i iff bits i and i + 1 are set.
-    nxt[j] is the word after w[j], and missing ones read as 0; scratch is
-    as long as nxt or longer."""
-    np.right_shift(w, 1, out=out)
-    out[: len(nxt)] |= np.left_shift(nxt, 63, out=scratch[: len(nxt)])
-    out &= w
-    return out
-
-
 def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int,
                   twin: bool = False) -> int:
     """Set bits among bit indices [0, k) of a word store, k >= 0; with twin,
@@ -188,15 +178,19 @@ def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int,
 
 def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cum[b] = set bits, and twin bits, in words[:_BLOCK * b], for b in
-    [0, len(words) // _BLOCK]; len(words) is a multiple of _BLOCK."""
+    [0, len(words) // _BLOCK]; len(words) is a multiple of _BLOCK.  Twin
+    bit i is set iff bits i and i + 1 are, and the bit past the end reads
+    as 0."""
     prime_cum = np.zeros(len(words) // _BLOCK + 1, dtype=np.int64)
     twin_cum = np.zeros_like(prime_cum)
     twins = np.empty(min(len(words), _SHIFT_BLOCK), dtype=words.dtype)
     shifted = np.empty_like(twins)
     for lo in range(0, len(words), _SHIFT_BLOCK):
         w = words[lo : lo + _SHIFT_BLOCK]
-        nxt = words[lo + 1 : lo + _SHIFT_BLOCK + 1]  # the bit past the end is 0
-        t = _twin_bits(w, nxt, twins[: len(w)], shifted)
+        nxt = words[lo + 1 : lo + _SHIFT_BLOCK + 1]  # the word after each
+        t = np.right_shift(w, 1, out=twins[: len(w)])
+        t[: len(nxt)] |= np.left_shift(nxt, 63, out=shifted[: len(nxt)])
+        t &= w
         blocks = slice(lo // _BLOCK + 1, (lo + len(w)) // _BLOCK + 1)
         for cum, bits in ((prime_cum, w), (twin_cum, t)):
             cum[blocks] = np.bitwise_count(bits).reshape(-1, _BLOCK).sum(axis=1)
@@ -280,16 +274,21 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True) -> int:
     # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld).
     base = root + 1 + 128 * math.ceil(1.25506 * root / math.log(max(root, 2)))
-    words = 8 * -(-SEGMENT_SIZE // 64)         # packed window, whole words
-    window = 9 * words + 2 * _PERIOD           # bool window, pattern, packed
+    words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a window, whole blocks
+    window = 72 * words + 2 * _PERIOD          # bool window, pattern, packed
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
-    if not store:  # twin and shifted words and their popcounts, per thread
-        return base + workers * (window + 2 * words + words // 8)
-    blocks = -(-n_odd // (64 * _BLOCK))
-    held = 8 * _BLOCK * blocks                 # <u8 words in whole blocks
-    shift = 18 * _SHIFT_BLOCK                  # twin and shifted words, counts
-    cums = 2 * 8 * (blocks + 1)                # int64 per block, plus a total
-    return base + workers * window + held + shift + cums
+
+    def block_counts(n: int) -> int:
+        # _block_counts of n words: twin and shifted words, their popcounts
+        # and block sums per slice, numpy's buffers for those sums (8,192
+        # int64 and uint8), then an int64 per block and a total each.
+        return (18 * min(n, _SHIFT_BLOCK) + 9 * 8192
+                + 2 * 8 * (n // _BLOCK + 1))
+
+    if not store:  # a window per thread, and its block counts
+        return base + workers * (window + block_counts(words))
+    held = _BLOCK * -(-n_odd // (64 * _BLOCK))  # <u8 words in whole blocks
+    return base + workers * window + 8 * held + block_counts(held)
 
 
 def build_sieve(
@@ -334,18 +333,15 @@ def count_upto(limit: int, *, threads: int = 1) -> tuple[int, int]:
         raise ValueError(f"limit must be >= 2, got {limit}")
     _admit(_estimate_bytes(limit, threads, store=False), DEFAULT_MEMORY_BUDGET)
     odd_base = small_primes(math.isqrt(limit))[1:]
-    n_words, top = -(-SEGMENT_SIZE // 64), SEGMENT_SIZE - 1
+    top = SEGMENT_SIZE - 1
 
     def count_run(ks: range) -> tuple[int, int, int, int]:
         # Primes and twins in a run of windows, and the run's first and last
         # bit: a twin pair may straddle two windows, in a run or across two.
         primes = twins = first = last = 0
-        t, scratch = np.empty(n_words, "<u8"), np.empty(n_words, "<u8")
-        pop = np.empty(n_words, np.uint8)
         for k, w in _windows(limit, odd_base, ks):
-            primes += int(np.bitwise_count(w, out=pop).sum())
-            _twin_bits(w, w[1:], t, scratch)
-            twins += int(np.bitwise_count(t, out=pop).sum()) + (last & w.item(0))
+            p, t = (cum.item(-1) for cum in _block_counts(w))
+            primes, twins = primes + p, twins + t + (last & w.item(0))
             if k == ks.start:
                 first = w.item(0) & 1
             last = (w.item(top >> 6) >> (top & 63)) & 1

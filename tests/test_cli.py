@@ -177,6 +177,17 @@ def test_invalid_arguments_exit_nonzero():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("command", ["table1", "table2", "table3", "calibrate"])
+@pytest.mark.parametrize("checkpoints", ["100,50", "50,50"])
+def test_checkpoints_must_strictly_increase(command, checkpoints, capsys):
+    # One rule for every subcommand, before a sieve is built.
+    assert main([command, "--limit", "1000", "--checkpoints", checkpoints]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: checkpoints must be strictly increasing, "
+                   f"got [{checkpoints.replace(',', ', ')}]\n")
+
+
 CASES = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 SWEEP = json.loads((CASES / "cases.json").read_text(encoding="utf-8"))["sweep"]
 
@@ -188,6 +199,39 @@ def test_sweep_stdout_matches_golden(name, capsys, monkeypatch):
     assert main(case["argv"]) == case["exit"]
     golden = (CASES / "golden" / case["golden"]).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+# Output that the sweep does not pin: the other formats, and the files of
+# `reproduce`, captured at 10**6.
+GOLDEN = Path(__file__).parent / "data" / "golden"
+_M = ["--limit", "1000000"]
+_RENDERED = {
+    **{f"table{t}.{fmt}": ([f"table{t}", *_M, "--format", fmt], 0)
+       for t in (1, 2, 3) for fmt in ("text", "json")},
+    "audit.json": (["audit", *_M, "--format", "json"], 3),
+    "check.json": (["check", *_M, "--format", "json"], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("reproduce")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reproduce", *_M, "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.mark.parametrize("name", sorted(
+    str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file()))
+def test_rendered_output_matches_golden(name, reproduced, capsys, monkeypatch):
+    monkeypatch.delenv("TWINPRIMES_OUTDIR", raising=False)
+    if name.startswith("reproduce/"):
+        got = (reproduced / Path(name).name).read_bytes()
+    else:
+        argv, code = _RENDERED[name]
+        assert main(argv) == code
+        got = capsys.readouterr().out.encode("utf-8")
+    assert got == (GOLDEN / name).read_bytes()
 
 
 def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinprimes import RunConfig, load_reference_tables
+from twinprimes import PrimeSieve, RunConfig, load_reference_tables
 from twinprimes.report import (
     STATUS_FORMATTING,
     STATUS_MATCH,
     STATUS_MISMATCH,
+    _classify,
+    _round_places,
     audit_against_reference,
     parse_table_csv,
     reference_checkpoints,
@@ -23,6 +25,7 @@ from twinprimes.report import (
     table1_rows,
     table2_rows,
     table3_rows,
+    table_rows,
 )
 
 
@@ -193,7 +196,26 @@ class TestCsvRoundTrip:
         for row, got in zip(rows, parsed):
             assert got[0] == row.x
             assert got[1] == row.pi_x and got[2] == row.pi2_x
-            assert got[4] == float(f"{row.ratio:.3f}")
+            assert got[4] == _round_places(row.ratio, 3)
+
+    # Exact ties at the printed precision: 17/16 = 1.0625, 330/256 =
+    # 1.2890625 and 1/32 = 0.03125.  Binary formatting rounds them to even;
+    # the fixture's rule, which the audit applies, rounds them away from 0.
+    @pytest.mark.parametrize("table_id,x,column,printed", [
+        (1, 241, "ratio", "1.063"),
+        (3, 55, "h", "1.289063"),
+        (3, 823, "rel_error", "0.0313"),
+    ])
+    def test_ties_print_as_the_audit_rounds(self, sieve_1e4, table_id, x,
+                                            column, printed):
+        cfg = RunConfig(limit=10**4, checkpoints=(x,))
+        rows = table_rows(table_id, sieve_1e4, cfg)
+        header, line = render_csv(table_id, rows).splitlines()
+        assert line.split(",")[header.split(",").index(column)] == printed
+        assert f" {printed}" in render_table(table_id, rows, "text")
+        rounding = load_reference_tables()[f"table{table_id}"]["rounding"]
+        value = getattr(rows[0], column)
+        assert _classify(value, float(printed), rounding[column]) == STATUS_MATCH
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +244,11 @@ class TestRunConfig:
             RunConfig(limit=10**4, checkpoints=(50, 20000))
         with pytest.raises(ValueError):
             RunConfig(limit=10**4, checkpoints=(4,))
+
+    @pytest.mark.parametrize("xs", [(100, 50), (50, 50), (50, 100, 100)])
+    def test_checkpoints_must_strictly_increase(self, xs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RunConfig(limit=10**4, checkpoints=xs)
 
     def test_default_checkpoints_clamp_to_limit(self):
         cfg = RunConfig(limit=10**4)
@@ -278,6 +305,24 @@ class TestInvariantSuite:
         suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))
         assert suite.check("trost_bounds_grid").passed
         assert suite.check("sandwich_grid").passed
+
+    def test_grid_checks_report_wrong_counts(self, sieve_1e4, monkeypatch):
+        # Wrong pi and pi2 at the grid point 3060, also one of the probed
+        # points, and a wrong pi2 at the decade 1000: each check that reads
+        # them must fail and name the x.
+        pi, pi2 = PrimeSieve.count_primes_upto, PrimeSieve.count_twins_upto
+        wrong_pi, wrong_pi2 = {3060: 2}, {3060: 1, 1000: 1}
+        monkeypatch.setattr(PrimeSieve, "count_primes_upto",
+                            lambda s, x: wrong_pi.get(x) or pi(s, x))
+        monkeypatch.setattr(PrimeSieve, "count_twins_upto",
+                            lambda s, x: wrong_pi2.get(x) or pi2(s, x))
+        suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))
+        for name, x in (("trost_bounds_grid", 3060), ("sandwich_grid", 3060),
+                        ("h_ratio_cap_grid", 3060),
+                        ("count_monotonicity", 3060),
+                        ("vanishing_density_trend", 1000)):
+            check = suite.check(name)
+            assert not check.passed and str(x) in check.detail, name
 
     def test_text_rendering_lists_every_check(self, suite_1e6):
         text = render_invariants_text(suite_1e6)

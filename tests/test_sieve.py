@@ -342,6 +342,20 @@ def test_count_pass_budget_counts_only_what_it_holds():
             < _estimate_bytes(10**12, 1) // 1000)
 
 
+@pytest.mark.parametrize("limit", [10**4, 3 * 10**6])
+def test_count_pass_allocates_within_its_estimate(limit):
+    # One window, and two: the second window's block counts must not sit
+    # beside the first's.
+    count_upto(limit)
+    tracemalloc.start()
+    try:
+        count_upto(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _estimate_bytes(limit, 1, store=False)
+
+
 def test_budget_counts_what_the_process_holds(monkeypatch):
     # A budget one byte below what the process holds plus the estimate
     # refuses; the estimate alone would fit.
