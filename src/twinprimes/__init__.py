@@ -26,8 +26,8 @@ _EXPORTS = {
     "report": ("AuditReport", "CrossTableConflict", "InvariantReport",
                "ReferenceCell", "audit_against_reference",
                "load_reference_tables", "run_invariant_suite"),
-    "sieve": ("MemoryBudgetError", "PrimeSieve", "SieveRangeError",
-              "build_sieve", "count_upto", "small_primes"),
+    "sieve": ("MemoryBudgetError", "PointCounts", "PrimeSieve",
+              "SieveRangeError", "build_sieve", "count_at", "small_primes"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

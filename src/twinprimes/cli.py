@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 # Each handler imports the modules it runs, so `sieve` loads no others.
@@ -27,7 +28,7 @@ from .config import (
     EXIT_REFERENCE_MISMATCH,
     RunConfig,
 )
-from .sieve import count_upto
+from .sieve import count_at
 
 OUTDIR_ENV = "TWINPRIMES_OUTDIR"
 DEFAULT_OUTDIR = "reproduction"
@@ -66,9 +67,9 @@ def _write(text: str, out: str | Path | None) -> None:
 # does not have.
 _FLAGS = {
     "--limit": dict(type=int, default=RunConfig.limit,
-                    help="sieve upper bound (default %(default)s)"),
+                    help="bound on the points read (default %(default)s)"),
     "--threads": dict(type=int, default=RunConfig.threads,
-                      help="construction threads; never changes results"),
+                      help="counting threads; never changes results"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),
@@ -101,12 +102,18 @@ def _run_config(args, **overrides) -> RunConfig:
     return RunConfig(**{**given, **overrides})
 
 
+def _counts(cfg: RunConfig, *xss):
+    """The counts at the points of every xs, sieved only as far as the
+    largest."""
+    return count_at(cfg.limit, chain(*xss), threads=cfg.threads)
+
+
 def _cmd_sieve(args) -> int:
-    # Counts only: two passes that keep no store, the second over pi(limit).
     cfg = _run_config(args)
-    pi, pi2 = count_upto(cfg.limit, threads=cfg.threads)
-    pi_pi = count_upto(pi, threads=cfg.threads)[0]
-    _write(f"limit={cfg.limit}\npi={pi}\npi2={pi2}\npi_pi={pi_pi}\n", None)
+    counts = _counts(cfg, [cfg.limit])
+    pi, pi2 = counts[cfg.limit]
+    _write(f"limit={cfg.limit}\npi={pi}\npi2={pi2}\npi_pi={counts[pi][0]}\n",
+           None)
     return EXIT_OK
 
 
@@ -114,25 +121,25 @@ def _cmd_table(args) -> int:
     from . import report
     table_id = int(args.command[-1])
     cfg = _run_config(args)
-    rows = report.table_rows(table_id, cfg.build(), cfg)
+    rows = report.table_rows(table_id, _counts(cfg, cfg.xs_for(table_id)), cfg)
     _write(report.render_table(table_id, rows, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    from . import estimators, legendre
+    from . import estimators, legendre, report
     x = args.x
     if x < 5:
         raise ValueError(f"--x must be >= 5, got {x}")
     cfg = _run_config(args, limit=max(args.limit, x))
-    sieve = cfg.build()
-    row = estimators.estimate_rows(sieve, [x], cfg.h_c)[0]
+    counts = _counts(cfg, [x])
+    row = estimators.estimate_rows(counts, [x], cfg.h_c)[0]
     # EstimateRow keeps pi(x) only as the density pi(x)/x.
-    pi = sieve.count_primes_upto(x)
+    pi = counts.count_primes_upto(x)
     lo, up = estimators.trost_bounds(x)
     a, b = estimators.sandwich_bounds(x)
     density = legendre.density_upper_bound(
-        sieve, legendre.DensityBoundParams(c=1.0, y=x)
+        counts, legendre.DensityBoundParams(c=1.0, y=x)
     )
     # Computed before the warning, so a refused pmax prints one error line.
     hl_simple = estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
@@ -144,10 +151,10 @@ def _cmd_estimate(args) -> int:
     )
     _write(
         f"x={x}\npi={pi}\npi2={row.pi2_x}\n"
-        f"h={row.h:.6f}\n"
+        f"h={report.format_cell(3, 'h', row.h)}\n"
         f"pi2_star={row.pi2_star}\n"
         f"abs_delta={row.abs_delta}\n"
-        f"rel_error={row.rel_error:.4f}\n"
+        f"rel_error={report.format_cell(3, 'rel_error', row.rel_error)}\n"
         f"trost_lower={lo:.3f}\ntrost_upper={up:.3f}\n"
         f"bound_a={a:.3f}\nbound_b={b:.3f}\n"
         f"density_bound={density.bound:.6f}\n"
@@ -162,19 +169,21 @@ def _cmd_estimate(args) -> int:
 def _cmd_calibrate(args) -> int:
     from . import estimators, report
     cfg = _run_config(args)
-    rows = report.table3_rows(cfg.build(), cfg)
+    rows = report.table3_rows(_counts(cfg, cfg.xs_for(3)), cfg)
     for row in rows:
-        _write(f"x={row.x} h={row.h:.6f}\n", None)
-    _write(f"h_c={estimators.mean_density_ratio(rows):.6f}\n", None)
+        _write(f"x={row.x} h={report.format_cell(3, 'h', row.h)}\n", None)
+    h_c = estimators.mean_density_ratio(rows)
+    _write(f"h_c={report.format_cell(3, 'h', h_c)}\n", None)
     return EXIT_OK
 
 
 def _cmd_phi(args) -> int:
     from . import legendre
     y, r = args.y, args.r
-    # Built first, so the memory budget refuses an oversized --y at once.
-    sieve = _run_config(args, limit=max(args.limit, y, 5)).build()
-    chk = legendre.check_phi_pi_bound(sieve, y, r)
+    # Counted first, so the memory budget refuses an oversized --y at once;
+    # phi reaches y whatever --limit says.
+    counts = count_at(y, [y] if y >= 2 else [], threads=args.threads)
+    chk = legendre.check_phi_pi_bound(counts, y, r)
     lines = [f"y={y}", f"r={r}", f"phi_recursive={chk.phi}"]
     if r <= legendre.MAX_MOBIUS_R:
         lines.append(f"phi_mobius={legendre.phi_mobius(y, r)}")
@@ -192,7 +201,8 @@ def _audit_exit(audit, cfg: RunConfig) -> int:
 def _cmd_audit(args) -> int:
     from . import report
     cfg = _run_config(args)
-    audit = report.audit_against_reference(cfg.build(), cfg)
+    audit = report.audit_against_reference(
+        _counts(cfg, report.audit_points(cfg.limit)), cfg)
     text = (
         report.render_audit_json(audit)
         if args.format == "json"
@@ -207,9 +217,10 @@ def _cmd_check(args) -> int:
 
     from . import report
     cfg = _run_config(args)
-    sieve = cfg.build()
-    invariants = report.run_invariant_suite(sieve, cfg)
-    audit = report.audit_against_reference(sieve, cfg)
+    counts = _counts(cfg, *report.suite_points(cfg.limit),
+                     report.audit_points(cfg.limit))
+    invariants = report.run_invariant_suite(counts, cfg)
+    audit = report.audit_against_reference(counts, cfg)
     if args.format == "json":
         doc = {
             "invariants": {
@@ -239,25 +250,26 @@ def _cmd_reproduce(args) -> int:
         args.outdir or os.environ.get(OUTDIR_ENV) or DEFAULT_OUTDIR
     ).absolute()
     cfg = _run_config(args)
-    sieve = cfg.build()
+    counts = _counts(cfg, *report.suite_points(cfg.limit),
+                     report.audit_points(cfg.limit))
     for table_id in (1, 2, 3):
-        rows = report.table_rows(table_id, sieve, cfg)
+        rows = report.table_rows(table_id, counts, cfg)
         for fmt in ("csv", "json"):
             _write(report.render_table(table_id, rows, fmt),
                    outdir / f"table{table_id}.{fmt}")
         print(f"table{table_id}: {len(rows)} rows")
 
-    audit = report.audit_against_reference(sieve, cfg)
+    audit = report.audit_against_reference(counts, cfg)
     _write(report.render_audit_text(audit), outdir / "audit.txt")
     _write(report.render_audit_json(audit), outdir / "audit.json")
-    counts = audit.status_counts()
+    status = audit.status_counts()
     print(
-        f"audit: {counts['match']} match / {counts['formatting-only']} "
-        f"formatting-only / {counts['mismatch']} mismatch / "
+        f"audit: {status['match']} match / {status['formatting-only']} "
+        f"formatting-only / {status['mismatch']} mismatch / "
         f"{len(audit.conflicts)} cross-table contradictions"
     )
 
-    invariants = report.run_invariant_suite(sieve, cfg)
+    invariants = report.run_invariant_suite(counts, cfg)
     _write(report.render_invariants_text(invariants), outdir / "invariants.txt")
     print("invariants:", "all passed" if invariants.passed
           else "FAILURES (see invariants.txt)")
@@ -269,7 +281,7 @@ _TABLE = ("--checkpoints", "--format", "--out")
 
 # name: (help, handler, flags it reads beyond the shared ones)
 _COMMANDS = {
-    "sieve": ("build a sieve and print its counts", _cmd_sieve, ()),
+    "sieve": ("print pi, pi2 and pi(pi) at the limit", _cmd_sieve, ()),
     "table1": ("regenerate the hypothesis table (pi, pi2, pi(pi), ratio)",
                _cmd_table, _TABLE),
     "table2": ("regenerate the bounds table (A, pi2, B)", _cmd_table, _TABLE),
@@ -307,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                 kwargs = dict(kwargs, choices=choices, default=choices[0])
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-    # phi sieves only as far as --y unless asked for more.
-    sub.choices["phi"].set_defaults(limit=0)
     return parser
 
 

@@ -20,9 +20,11 @@ EXIT_REFERENCE_MISMATCH = 3
 class RunConfig:
     """Everything a reproducible run depends on.
 
-    h_c is the estimator's calibrated density ratio and euler_pmax the
-    truncation bound of every Euler product.  The thread count never
-    changes an output byte; it only tunes the sieve build.
+    limit bounds the points a run reads: the reference rows up to it, or
+    the checkpoints.  The CLI counts at those points alone, sieving only
+    as far as the largest.  h_c is the estimator's calibrated density
+    ratio and euler_pmax the truncation bound of every Euler product.  The
+    thread count never changes an output byte; it only tunes the count.
     """
 
     limit: int = 10**6
@@ -50,12 +52,6 @@ class RunConfig:
             raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
         if self.euler_pmax < 100:
             raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
-
-    def build(self):
-        """A PrimeSieve over [2, limit]."""
-        from .sieve import build_sieve
-
-        return build_sieve(self.limit, threads=self.threads)
 
     def xs_for(self, table_id: int) -> tuple[int, ...]:
         if self.checkpoints is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .sieve import PrimeSieve, SieveRangeError
+from .sieve import Counts, SieveRangeError
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,12 @@ class CountCheckpoint:
     ratio: float  # pi2_x / pi_pi_x, full precision
 
 
-def count_primes(sieve: PrimeSieve, x: int) -> int:
+def count_primes(sieve: Counts, x: int) -> int:
     """pi(x) for 2 <= x <= sieve.limit."""
     return sieve.count_primes_upto(x)
 
 
-def count_twin_pairs(sieve: PrimeSieve, x: int) -> int:
+def count_twin_pairs(sieve: Counts, x: int) -> int:
     """Number of twin pairs (p, p+2), both prime, with p + 2 <= x.
 
     Requires 5 <= x <= sieve.limit.
@@ -41,7 +41,7 @@ def count_twin_pairs(sieve: PrimeSieve, x: int) -> int:
     return sieve.count_twins_upto(x)
 
 
-def composed_count(sieve: PrimeSieve, x: int) -> int:
+def composed_count(sieve: Counts, x: int) -> int:
     """pi(pi(x)): the prime count applied to its own value at x (x >= 5)."""
     if x < 5:
         raise SieveRangeError(f"x={x} must be >= 5")
@@ -49,7 +49,7 @@ def composed_count(sieve: PrimeSieve, x: int) -> int:
 
 
 def checkpoint_rows(
-    sieve: PrimeSieve, xs: Sequence[int] | Iterable[int]
+    sieve: Counts, xs: Sequence[int] | Iterable[int]
 ) -> list[CountCheckpoint]:
     """Fully populated checkpoint rows for a strictly increasing xs list."""
     xs = list(xs)

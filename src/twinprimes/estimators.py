@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
-from .sieve import PrimeSieve, small_primes
+from .sieve import Counts, small_primes
 
 LN_1_5 = math.log(1.5)
 LN_1_6 = math.log(1.6)
@@ -113,7 +113,7 @@ def sandwich_bounds(x: int) -> tuple[float, float]:
     return a, b
 
 
-def sandwich_check(sieve: PrimeSieve, x: int) -> SandwichCheck:
+def sandwich_check(sieve: Counts, x: int) -> SandwichCheck:
     """Evaluate the sandwich at x against both pi(pi(x)) and pi2(x)."""
     a, b = sandwich_bounds(x)
     pi_x = sieve.count_primes_upto(x)
@@ -172,7 +172,7 @@ def density_ratio(x: int, pi_x: int, pi2_x: int) -> float:
     return x * pi2_x / pi_x**2
 
 
-def check_density_ratio_bound(sieve: PrimeSieve, x: int) -> bool:
+def check_density_ratio_bound(sieve: Counts, x: int) -> bool:
     """True iff 0 < h < 5.12 at x (x >= 17, where pi(x) > x/ln(x) is known).
 
     The pi(x) > x/ln(x) hypothesis behind the cap is verified against the
@@ -209,13 +209,13 @@ def twin_count_estimate(x: int, pi_x: int, h_c: float = DEFAULT_H_C) -> int:
     return round_half_away(estimate)
 
 
-def bounds_rows(sieve: PrimeSieve, xs: Sequence[int]) -> list[BoundsRow]:
+def bounds_rows(sieve: Counts, xs: Sequence[int]) -> list[BoundsRow]:
     """Bounds-table rows at the given checkpoints."""
     return [sandwich_check(sieve, x).row for x in xs]
 
 
 def estimate_rows(
-    sieve: PrimeSieve, xs: Sequence[int], h_c: float = DEFAULT_H_C
+    sieve: Counts, xs: Sequence[int], h_c: float = DEFAULT_H_C
 ) -> list[EstimateRow]:
     """Estimator-table rows (densities, h, estimate, and its error) at xs."""
     rows = []

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .sieve import PrimeSieve, small_primes
+from .sieve import Counts, small_primes
 
 MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
 
@@ -107,7 +107,7 @@ class PhiPrimeBound:
     bound_ok: bool
 
 
-def check_phi_pi_bound(sieve: PrimeSieve, y: int, r: int) -> PhiPrimeBound:
+def check_phi_pi_bound(sieve: Counts, y: int, r: int) -> PhiPrimeBound:
     """Evaluate pi(y) <= phi(y, r) + r exactly (expected to always hold)."""
     pi_y = sieve.count_primes_upto(y) if y >= 2 else 0
     phi = phi_recursive(y, r)
@@ -151,7 +151,7 @@ class DensityBoundCheck:
 
 
 def density_upper_bound(
-    sieve: PrimeSieve, params: DensityBoundParams
+    sieve: Counts, params: DensityBoundParams
 ) -> DensityBoundCheck:
     """Check pi(y)/y < 1/(ln(c) + ln(ln(y))) + 2*y**(c*ln(2) - 1)."""
     c, y = params.c, params.y

@@ -37,7 +37,7 @@ from . import counting, estimators, legendre
 from .config import RunConfig
 from .counting import CountCheckpoint
 from .estimators import BoundsRow, EstimateRow, log_grid, round_half_away
-from .sieve import PrimeSieve
+from .sieve import Counts, small_primes
 
 STATUS_MATCH = "match"
 STATUS_FORMATTING = "formatting-only"
@@ -64,24 +64,29 @@ def reference_checkpoints(table_id: int) -> tuple[int, ...]:
     return tuple(row["x"] for row in _ref()[f"table{table_id}"]["rows"])
 
 
+def audit_points(limit: int) -> list[int]:
+    """Every x that the audit reads: the reference rows' up to limit."""
+    return [x for t in (1, 2, 3) for x in reference_checkpoints(t) if x <= limit]
+
+
 # ---------------------------------------------------------------------------
 # table building
 
 
-def table1_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[CountCheckpoint]:
+def table1_rows(sieve: Counts, cfg: RunConfig) -> list[CountCheckpoint]:
     xs = cfg.xs_for(1)
     return counting.checkpoint_rows(sieve, xs) if xs else []
 
 
-def table2_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[BoundsRow]:
+def table2_rows(sieve: Counts, cfg: RunConfig) -> list[BoundsRow]:
     return estimators.bounds_rows(sieve, cfg.xs_for(2))
 
 
-def table3_rows(sieve: PrimeSieve, cfg: RunConfig) -> list[EstimateRow]:
+def table3_rows(sieve: Counts, cfg: RunConfig) -> list[EstimateRow]:
     return estimators.estimate_rows(sieve, cfg.xs_for(3), cfg.h_c)
 
 
-def table_rows(table_id: int, sieve: PrimeSieve, cfg: RunConfig) -> list:
+def table_rows(table_id: int, sieve: Counts, cfg: RunConfig) -> list:
     """Rows of table 1, 2 or 3 at cfg's checkpoints."""
     builder = {1: table1_rows, 2: table2_rows, 3: table3_rows}[table_id]
     return builder(sieve, cfg)
@@ -111,6 +116,11 @@ def _cell(value, rounding) -> str:
     if rounding == "int":
         return str(round_half_away(value))
     return f"{_round_places(value, rounding):.{rounding}f}"
+
+
+def format_cell(table_id: int, column: str, value) -> str:
+    """value as table_id's CSV and text print the column."""
+    return _cell(value, dict(_columns(table_id))[column])
 
 
 def _cells(table_id: int, rows: Sequence) -> list[list[str]]:
@@ -229,7 +239,7 @@ def _classify(computed: float, reference: float, rounding) -> str:
     return STATUS_MISMATCH
 
 
-def audit_against_reference(sieve: PrimeSieve, cfg: RunConfig) -> AuditReport:
+def audit_against_reference(sieve: Counts, cfg: RunConfig) -> AuditReport:
     """Recompute every reference cell (x <= limit) and classify agreement."""
     ref = _ref()
     report = AuditReport()
@@ -348,7 +358,16 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
+def suite_points(limit: int) -> tuple[list[int], list[int], list[int]]:
+    """Every x that the invariant suite reads: its log grid, its decades,
+    and the table-3 reference xs at which it checks the estimator."""
+    grid = log_grid(5, min(limit, 10**6), 200).tolist()
+    decades = [10**k for k in range(3, 7) if 10**k <= limit]
+    xs = [x for x in reference_checkpoints(3) if 1500 <= x <= limit]
+    return grid, decades, xs
+
+
+def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
     """Execute every module's invariant grid, clamped to the sieve limit.
 
     Returns a named pass/fail per check; the CLI turns any failure into a
@@ -356,11 +375,10 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
     """
     report = InvariantReport()
     add = report.checks.append
-    grid = log_grid(5, min(sieve.limit, 10**6), 200).tolist()
-    decades = [10**k for k in range(3, 7) if 10**k <= sieve.limit]
+    grid, decades, xs = suite_points(sieve.limit)
     # pi, pi2 and pi(pi), counted once at every x that the checks below read.
-    points = sorted({*grid, *decades})
-    at = {row.x: row for row in counting.checkpoint_rows(sieve, points)}
+    at = {row.x: row for row in counting.checkpoint_rows(
+        sieve, sorted({*grid, *decades}))}
 
     def grid_check(name: str, bad: list[int]) -> None:
         add(InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
@@ -420,9 +438,10 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
         else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7"))
 
     ys = np.arange(1, y_top + 1, 3)
-    pi_ys = np.searchsorted(sieve.primes_between(2, y_top), ys, side="right")
+    pi_ys = np.searchsorted(small_primes(y_top), ys, side="right")
     above = pi_ys[:, None] > phi[:, ys].T + np.arange(11)
     bad = [(int(ys[i]), int(r)) for i, r in np.argwhere(above)]
+    del rough, phi, above  # before the Euler products below take theirs
     add(InvariantCheck(
         "phi_prime_count_bound_grid", not bad,
         f"violations at {bad[:5]}" if bad
@@ -430,7 +449,7 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
 
     bad = []
     for c in (0.8, 1.0, 1.2, 1.4):
-        for y in decades or [min(1000, sieve.limit)]:
+        for y in decades or grid[-1:]:  # the limit, below 1000
             chk = legendre.density_upper_bound(
                 sieve, legendre.DensityBoundParams(c=c, y=y)
             )
@@ -440,7 +459,6 @@ def run_invariant_suite(sieve: PrimeSieve, cfg: RunConfig) -> InvariantReport:
         "density_upper_bound_grid", not bad,
         f"violations at {bad}" if bad else "bound holds on the full (c, y) grid"))
 
-    xs = [x for x in reference_checkpoints(3) if 1500 <= x <= sieve.limit]
     if xs:
         rows = estimators.estimate_rows(sieve, xs, cfg.h_c)
         bad = [(r.x, round(r.rel_error, 4)) for r in rows if r.rel_error > 0.04]

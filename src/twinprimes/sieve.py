@@ -1,5 +1,5 @@
 """Segmented, odd-only sieve of Eratosthenes: a word store with O(1) prefix
-counting, and a count-only pass in O(sqrt(limit)) memory.
+counting, and a pass that counts at given points in O(sqrt(x)) memory.
 
 One generator, _windows, sieves windows of SEGMENT_SIZE odd numbers in
 order, one bit per odd number (2 is special-cased) in little-endian 64-bit
@@ -12,15 +12,19 @@ cumulative popcount of primes and one of twin bits per block of _BLOCK
 words (a rank directory in the sense of Jacobson 1989 and Vigna 2008): a
 count up to any x <= limit is one cumulative count plus the popcount of one
 masked span of at most a block, from which twin bits are derived.
-count_upto reads the same windows and keeps no store, only the base primes
-and one window per thread: it counts each window with the store's block
-counter, _block_counts, and joins neighbouring windows at their edge bits.
+count_at reads the same windows up to its largest point and keeps no
+store, only the base primes, one window per thread and its answers: it
+counts each window with the store's block counter, _block_counts, answers
+each point inside a window with the store's query, _prefix_count, on that
+window alone, and joins neighbouring windows at their edge bits.  A second
+pass over the distinct pi(x) gives pi(pi(x)).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 
 import numpy as np
 
@@ -193,7 +197,9 @@ def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t &= w
         blocks = slice(lo // _BLOCK + 1, (lo + len(w)) // _BLOCK + 1)
         for cum, bits in ((prime_cum, w), (twin_cum, t)):
-            cum[blocks] = np.bitwise_count(bits).reshape(-1, _BLOCK).sum(axis=1)
+            cum[blocks] = np.add.reduceat(np.bitwise_count(bits),
+                                          np.arange(0, len(bits), _BLOCK),
+                                          dtype=np.int64)
     np.cumsum(prime_cum, out=prime_cum)
     np.cumsum(twin_cum, out=twin_cum)
     return prime_cum, twin_cum
@@ -266,9 +272,10 @@ class PrimeSieve:
         return _prefix_count(self._words, self._twin_cum, (x - 5) // 2 + 1, True)
 
 
-def _estimate_bytes(limit: int, threads: int, store: bool = True) -> int:
+def _estimate_bytes(limit: int, threads: int, store: bool = True,
+                    points: int = 0) -> int:
     """Upper bound on the bytes a build allocates, every array counted at
-    once; with store=False, on those of a count pass."""
+    once; with store=False, on those of count_at at that many points."""
     n_odd = (limit - 1) // 2
     root = math.isqrt(limit)
     # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
@@ -277,18 +284,25 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True) -> int:
     words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a window, whole blocks
     window = 72 * words + 2 * _PERIOD          # bool window, pattern, packed
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
+    # Each thread's stack and malloc arena pages and the pool's objects,
+    # measured at 150-280 KiB a thread.
+    pool = 0 if workers == 1 else 512 * 1024 * workers
+    if workers > 1:  # imported here, so that the guard sees it held
+        import concurrent.futures  # noqa: F401
 
     def block_counts(n: int) -> int:
-        # _block_counts of n words: twin and shifted words, their popcounts
-        # and block sums per slice, numpy's buffers for those sums (8,192
-        # int64 and uint8), then an int64 per block and a total each.
-        return (18 * min(n, _SHIFT_BLOCK) + 9 * 8192
+        # _block_counts of n words: per slice, twin and shifted words, their
+        # popcounts, those as int64, the block starts and the block sums (27
+        # bytes a word), then an int64 per block and a total each, and small
+        # objects (~2 KB measured).
+        return (27 * min(n, _SHIFT_BLOCK) + 16384
                 + 2 * 8 * (n // _BLOCK + 1))
 
-    if not store:  # a window per thread, and its block counts
-        return base + workers * (window + block_counts(words))
+    if not store:  # a window and its block counts per thread, the answers
+        return (base + workers * (window + block_counts(words)) + pool
+                + 1024 * points)
     held = _BLOCK * -(-n_odd // (64 * _BLOCK))  # <u8 words in whole blocks
-    return base + workers * window + 8 * held + block_counts(held)
+    return base + workers * window + pool + 8 * held + block_counts(held)
 
 
 def build_sieve(
@@ -324,30 +338,85 @@ def build_sieve(
     return PrimeSieve(limit, words, *_block_counts(words))
 
 
-def count_upto(limit: int, *, threads: int = 1) -> tuple[int, int]:
-    """(pi(limit), pi2(limit)) for limit >= 2, the same as a store's
-    count_primes_upto and count_twins_upto, counted from the windows of
-    _windows as they pass: memory for the base primes and one window per
-    thread, never a store."""
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    _admit(_estimate_bytes(limit, threads, store=False), DEFAULT_MEMORY_BUDGET)
-    odd_base = small_primes(math.isqrt(limit))[1:]
-    top = SEGMENT_SIZE - 1
+class PointCounts(dict):
+    """{x: (pi(x), pi2(x))} at the points count_at counted, read as a store
+    over [2, limit] reads them; any other x raises SieveRangeError, so a
+    point that was not counted is never answered."""
 
-    def count_run(ks: range) -> tuple[int, int, int, int]:
-        # Primes and twins in a run of windows, and the run's first and last
-        # bit: a twin pair may straddle two windows, in a run or across two.
-        primes = twins = first = last = 0
+    def __init__(self, limit: int, counts: dict):
+        super().__init__(counts)
+        self.limit = limit
+
+    def __missing__(self, x):
+        raise SieveRangeError(f"x={x} was not counted (limit {self.limit})")
+
+    def count_primes_upto(self, x: int) -> int:
+        return self[x][0]
+
+    def count_twins_upto(self, x: int) -> int:
+        return self[x][1]
+
+
+# What both answer: a store anywhere in [2, limit], a count pass at its points.
+Counts = PrimeSieve | PointCounts
+
+
+def _count_pass(xs: list[int], threads: int) -> dict:
+    """{x: (pi(x), pi2(x))} for sorted xs >= 2, counted from the windows of
+    _windows up to xs[-1] as they pass."""
+    if not xs:
+        return {}
+    limit, size = xs[-1], SEGMENT_SIZE
+    n_windows = max(1, -(-((limit - 1) // 2) // size))
+    # (bit, 0) and (bit, 1): an x's primes, and its twin bits, are those of
+    # the store below bit.
+    keys = sorted({((x - 1) // 2, 0) for x in xs}
+                  | {((x - 5) // 2 + 1, 1) for x in xs if x >= 5})
+    bits = [bit for bit, _ in keys]
+    _admit(_estimate_bytes(limit, threads, False, len(xs)),
+           DEFAULT_MEMORY_BUDGET)
+    odd_base = small_primes(math.isqrt(limit))[1:]
+    top = size - 1
+
+    def count_run(ks: range):
+        # Primes and twin bits in a run of windows, each key's from the
+        # run's start, and the run's first and last bit: a twin pair may
+        # straddle two windows, in a run or across two.  A key past the last
+        # window is answered in the last.
+        total, first, last, below = [0, 0], 0, 0, {}
         for k, w in _windows(limit, odd_base, ks):
-            p, t = (cum.item(-1) for cum in _block_counts(w))
-            primes, twins = primes + p, twins + t + (last & w.item(0))
+            total[1] += last & w.item(0)
+            cums = _block_counts(w)
+            hi = bisect_left(bits, (k + 1) * size) if k + 1 < n_windows else None
+            for bit, twin in keys[bisect_left(bits, k * size) : hi]:
+                below[bit, twin] = total[twin] + _prefix_count(
+                    w, cums[twin], bit - k * size, twin)
+            total = [n + cum.item(-1) for n, cum in zip(total, cums)]
             if k == ks.start:
                 first = w.item(0) & 1
             last = (w.item(top >> 6) >> (top & 63)) & 1
-        return primes, twins, first, last
+            del cums  # before the next window is sieved
+        return total, first, last, below
 
-    runs = _fan_out(count_run, threads, -(-((limit - 1) // 2) // SEGMENT_SIZE))
-    primes, twins, _, _ = map(sum, zip(*runs))
-    joins = sum(a[3] & b[2] for a, b in zip(runs, runs[1:]))
-    return 1 + primes, twins + joins
+    total, last, below = [0, 0], 0, {}
+    for run_total, first, run_last, run_below in _fan_out(count_run, threads,
+                                                          n_windows):
+        total[1] += last & first
+        below.update((key, total[key[1]] + n) for key, n in run_below.items())
+        total, last = [a + b for a, b in zip(total, run_total)], run_last
+    return {x: (1 + below[(x - 1) // 2, 0],
+                below[(x - 5) // 2 + 1, 1] if x >= 5 else 0) for x in xs}
+
+
+def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
+    """A store's pi and pi2 over [2, limit] at each x in xs, and its pi at
+    each pi(x), from two passes that keep no store: one as far as the
+    largest x, one over the distinct pi(x).  Each holds the base primes, a
+    window per thread and its answers."""
+    xs = sorted(set(xs))
+    if xs and not 2 <= xs[0] <= xs[-1] <= limit:
+        raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
+    _worker_count(threads, 1)  # refuses a bad count even with no points
+    counts = _count_pass(xs, threads)
+    pis = sorted({pi for pi, _ in counts.values() if pi >= 2})
+    return PointCounts(limit, {**_count_pass(pis, threads), **counts})

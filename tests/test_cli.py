@@ -55,6 +55,18 @@ def test_custom_checkpoints(capsys):
     assert "97," in out
 
 
+def test_limit_bounds_the_points_but_is_not_sieved_to(capsys):
+    # 10**10 alone would not fit a store in the budget; the table reads no x
+    # past 2,000,000, and that is as far as it sieves.
+    argv = ["table3", "--checkpoints", "1000000,2000000"]
+    assert main([*argv, "--limit", "10000000000"]) == 0
+    far = capsys.readouterr()
+    assert main([*argv, "--limit", "2000000"]) == 0
+    assert far == capsys.readouterr()
+    assert far.out.splitlines()[1:] == ["1000000,1.325720,8169,8165,4,0.0005",
+                                        "2000000,1.340875,14871,14696,175,0.0118"]
+
+
 def test_out_file_and_env_dir(tmp_path, capsys):
     target = tmp_path / "t1.csv"
     assert main(["table1", "--limit", "1000", "--format", "csv",
@@ -325,9 +337,10 @@ def test_budget_error_names_the_requested_and_held_bytes():
 
 
 # Values that either run small or are refused before anything is allocated:
-# 10**18 is refused by the memory budget wherever it is read (its base
-# primes alone, up to 10**9, would not fit), and no thread count above 2 is
-# drawn.  10**12 would not do: `sieve` counts to it in O(sqrt x) memory.
+# 10**18 is refused by the memory budget wherever it is sieved to (its base
+# primes alone, up to 10**9, would not fit), as a --limit it only bounds the
+# points, which stay at most 10**6, and no thread count above 2 is drawn.
+# 10**12 would not do: a pass counts to it in O(sqrt x) memory.
 # Valid values are drawn twice as often as others.
 def _mostly(valid, other):
     return st.one_of(valid, valid, other)

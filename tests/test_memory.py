@@ -1,5 +1,5 @@
 """The memory budget is an upper bound on what a build really takes, it
-does not count memory that a process once held, and `sieve` counts without
+does not count memory that a process once held, and the CLI counts without
 a store.
 
 Each measurement runs in a fresh interpreter that records its own
@@ -73,20 +73,35 @@ sys.exit(code)
 """
 
 
-def test_sieve_1e9_counts_without_a_store():
+def _cli_peak(*argv):
+    """The stdout lines and peak RSS in bytes of a fresh CLI process."""
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCH,
-         sys.executable, "-c", _SIEVE_CLI, "sieve", "--limit", str(10**9)],
+        [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _SIEVE_CLI,
+         *argv],
         capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
     *lines, peak_kib = proc.stdout.splitlines()
+    return proc.returncode, lines, int(peak_kib) * 1024
+
+
+def test_sieve_1e9_counts_without_a_store():
+    code, lines, peak = _cli_peak("sieve", "--limit", str(10**9))
+    assert code == 0
     # pi_pi as a store built at 50,847,534 counts it.
     assert lines == ["limit=1000000000", "pi=50847534", "pi2=3424506",
                      "pi_pi=3048955"]
     # A store at 10**9 peaks at ~107 MiB; the count-only passes at ~32 MiB,
     # about what the interpreter and numpy take on their own.
-    assert int(peak_kib) * 1024 < 48 * 1024 * 1024
+    assert peak < 48 * 1024 * 1024
+
+
+def test_check_sieves_only_to_its_last_point():
+    # No point of the suite or the audit lies past 10**6, so `check` never
+    # sieves to 10**9; a store at 10**9 would peak at ~108 MiB.
+    code, lines, peak = _cli_peak("check", "--limit", str(10**9))
+    assert code == 2  # estimator_accuracy fails by design (C4b)
+    assert lines[-1].startswith("reference audit:")
+    assert peak < 48 * 1024 * 1024
 
 
 # Holds 96 MiB, frees it, then execs the child, which keeps that peak RSS.
@@ -102,8 +117,10 @@ import json, resource
 from twinprimes import sieve
 peak = 1024 * resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 sieve.DEFAULT_MEMORY_BUDGET = peak  # peak plus any estimate would not fit
+counts = sieve.count_at(10**6, [10**6])
 print(json.dumps({
-    "peak": peak, "pass": sieve.count_upto(10**6),
+    "peak": peak,
+    "pass": [counts.count_primes_upto(10**6), counts.count_twins_upto(10**6)],
     "small": len(sieve.small_primes(10**6)),
     "store": sieve.build_sieve(10**6, memory_budget=peak).count_twins_upto(
         10**6),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinprimes import PrimeSieve, RunConfig, load_reference_tables
+from twinprimes.cli import main
 from twinprimes.report import (
     STATUS_FORMATTING,
     STATUS_MATCH,
@@ -207,7 +208,7 @@ class TestCsvRoundTrip:
         (3, 823, "rel_error", "0.0313"),
     ])
     def test_ties_print_as_the_audit_rounds(self, sieve_1e4, table_id, x,
-                                            column, printed):
+                                            column, printed, capsys):
         cfg = RunConfig(limit=10**4, checkpoints=(x,))
         rows = table_rows(table_id, sieve_1e4, cfg)
         header, line = render_csv(table_id, rows).splitlines()
@@ -216,6 +217,12 @@ class TestCsvRoundTrip:
         rounding = load_reference_tables()[f"table{table_id}"]["rounding"]
         value = getattr(rows[0], column)
         assert _classify(value, float(printed), rounding[column]) == STATUS_MATCH
+        # The subcommands that print the column on a line of its own.
+        argv = {"h": ["calibrate", "--limit", "1000", "--checkpoints", str(x)],
+                "rel_error": ["estimate", "--x", str(x)]}.get(column)
+        if argv:
+            assert main(argv) == 0
+            assert f"{column}={printed}\n" in capsys.readouterr().out
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):

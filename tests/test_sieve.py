@@ -13,7 +13,7 @@ from twinprimes import (
     MemoryBudgetError,
     SieveRangeError,
     build_sieve,
-    count_upto,
+    count_at,
     small_primes,
 )
 from twinprimes import sieve as sieve_mod
@@ -261,6 +261,12 @@ def store_3e5():
     return build_sieve(3 * 10**5)
 
 
+def pi_pi2(limit, *, threads=1):
+    """(pi(limit), pi2(limit)) from a pass that counts at the limit alone."""
+    counts = count_at(limit, [limit], threads=threads)
+    return counts.count_primes_upto(limit), counts.count_twins_upto(limit)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("segment_size", [64, 72])
 def test_count_pass_matches_the_store_at_every_small_limit(
@@ -270,7 +276,7 @@ def test_count_pass_matches_the_store_at_every_small_limit(
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
     for x in range(5, 3001):
         expected = (trial_pi_1e4[x], trial_twin_1e4[x])
-        assert count_upto(x, threads=threads) == expected, x
+        assert pi_pi2(x, threads=threads) == expected, x
         assert (store_3e5.count_primes_upto(x),
                 store_3e5.count_twins_upto(x)) == expected, x
 
@@ -281,7 +287,7 @@ def test_count_pass_matches_the_store_at_every_small_limit(
 def test_count_pass_matches_the_store(store_3e5, limit, threads,
                                       segment_size):
     with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size):
-        got = count_upto(limit, threads=threads)
+        got = pi_pi2(limit, threads=threads)
     assert got == (store_3e5.count_primes_upto(limit),
                    store_3e5.count_twins_upto(limit))
 
@@ -295,25 +301,67 @@ def test_count_pass_with_more_workers_than_cores(store_3e5, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for limit in (10**5, 3 * 10**5):
-            assert count_upto(limit, threads=8) == (
+            assert pi_pi2(limit, threads=8) == (
                 store_3e5.count_primes_upto(limit),
                 store_3e5.count_twins_upto(limit))
     finally:
         sys.setswitchinterval(interval)
 
 
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(2, 3 * 10**5), threads=st.sampled_from([1, 2, 3]),
+       segment_size=st.sampled_from([64, 72, 512]),
+       seed=st.integers(0, 2**32 - 1))
+def test_count_at_matches_the_store_at_its_points(store_3e5, limit, threads,
+                                                  segment_size, seed):
+    # Random points, the x within three odd numbers of each window edge
+    # (bit i is 2i + 3) and 2..15, on up to three workers, each answering
+    # the points in its own run; and pi at each pi(x).
+    rng = np.random.default_rng(seed)
+    edges = [2 * i + 3 + d for i in range(0, limit // 2, segment_size)
+             for d in range(-6, 7)]
+    xs = [x for x in [*rng.integers(2, limit, 200, endpoint=True).tolist(),
+                      *edges, *range(2, 16), limit] if 2 <= x <= limit]
+    with mock.patch.object(os, "cpu_count", lambda: 3), \
+            mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size):
+        counts = count_at(limit, xs, threads=threads)
+    for x in xs:
+        pi = store_3e5.count_primes_upto(x)
+        assert counts.count_primes_upto(x) == pi, x
+        assert counts.count_twins_upto(x) == store_3e5.count_twins_upto(x), x
+        if pi >= 2:
+            assert counts.count_primes_upto(pi) == store_3e5.count_primes_upto(
+                pi), x
+
+
+def test_count_at_answers_only_its_points():
+    counts = count_at(10**4, [100, 5000])
+    assert counts.limit == 10**4
+    assert (counts.count_primes_upto(5000), counts.count_twins_upto(5000)) == (
+        669, 126)
+    assert counts.count_primes_upto(25) == 9  # pi(pi(100))
+    for x in (99, 101, 4999, 10**4):
+        with pytest.raises(SieveRangeError):
+            counts.count_primes_upto(x)
+        with pytest.raises(SieveRangeError):
+            counts.count_twins_upto(x)
+    for xs in ([1, 100], [100, 10**4 + 1]):
+        with pytest.raises(SieveRangeError):
+            count_at(10**4, xs)
+
+
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
 def test_count_pass_below_five(trial_pi_1e4, trial_twin_1e4, segment_size,
                                monkeypatch):
-    # The CLI's second pass counts up to pi(limit), which may be this small.
+    # The second pass counts up to pi(x), which may be this small.
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
     for x in range(2, 11):
-        assert count_upto(x) == (trial_pi_1e4[x], trial_twin_1e4[x]), x
+        assert pi_pi2(x) == (trial_pi_1e4[x], trial_twin_1e4[x]), x
     for x in (1, 0, -3):
         with pytest.raises(ValueError):
-            count_upto(x)
+            pi_pi2(x)
     with pytest.raises(ValueError):
-        count_upto(100, threads=0)
+        pi_pi2(100, threads=0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -326,7 +374,7 @@ def test_count_pass_twin_pair_across_a_window_edge(threads, monkeypatch):
     twins = oracles.twin_prefix_counts(1283)
     assert twins[643] == twins[642] + 1
     for x in (642, 643, 1283):
-        assert count_upto(x, threads=threads)[1] == twins[x], x
+        assert pi_pi2(x, threads=threads)[1] == twins[x], x
 
 
 def test_count_pass_budget_counts_only_what_it_holds():
@@ -334,26 +382,33 @@ def test_count_pass_budget_counts_only_what_it_holds():
     # holds base primes to 10**6 and a window per thread, 10**18 base primes
     # to 10**9, which alone exceed the budget.
     for threads in (1, 2):
-        sieve_mod._admit(_estimate_bytes(10**12, threads, store=False),
+        sieve_mod._admit(_estimate_bytes(10**12, threads, False, points=1),
                          sieve_mod.DEFAULT_MEMORY_BUDGET)
         with pytest.raises(MemoryBudgetError):
-            count_upto(10**18, threads=threads)
+            pi_pi2(10**18, threads=threads)
     assert (_estimate_bytes(10**12, 1, store=False)
             < _estimate_bytes(10**12, 1) // 1000)
 
 
 @pytest.mark.parametrize("limit", [10**4, 3 * 10**6])
-def test_count_pass_allocates_within_its_estimate(limit):
+def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
     # One window, and two: the second window's block counts must not sit
-    # beside the first's.
-    count_upto(limit)
-    tracemalloc.start()
-    try:
-        count_upto(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _estimate_bytes(limit, 1, store=False)
+    # beside the first's.  On two threads, at the limit alone and at 400
+    # points, the pool and the answers count too.  A first run imports what
+    # the pass loads on first use.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spread = np.linspace(2, limit, 400).astype(int).tolist()
+    for threads in (1, 2):
+        for xs in ([limit], spread):
+            count_at(limit, xs, threads=threads)
+            tracemalloc.start()
+            try:
+                count_at(limit, xs, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _estimate_bytes(limit, threads, store=False,
+                                           points=len(xs)), (threads, len(xs))
 
 
 def test_budget_counts_what_the_process_holds(monkeypatch):
@@ -366,7 +421,7 @@ def test_budget_counts_what_the_process_holds(monkeypatch):
         build_sieve(limit, memory_budget=need - 1)
     build_sieve(limit, memory_budget=need)
     growth = limit + 1 + 16 * math.ceil(1.25506 * limit / math.log(limit))
-    for run, need in ((count_upto, held + _estimate_bytes(limit, 1, False)),
+    for run, need in ((pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
                       (small_primes, held + growth)):
         monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(MemoryBudgetError):
