@@ -15,11 +15,10 @@ warning).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
 from .sieve import Counts, small_primes
@@ -80,9 +79,13 @@ def round_half_away(v: float) -> int:
     return math.ceil(v - 0.5)
 
 
-def log_grid(lo: int = 5, hi: int = 10**6, n: int = 200) -> np.ndarray:
-    """n log-spaced integer sample points covering [lo, hi]."""
-    return np.round(np.geomspace(lo, hi, n)).astype(np.int64)
+def log_grid(lo: int = 5, hi: int = 10**6, n: int = 200) -> array:
+    """n log-spaced integers covering [lo, hi], as array('q'): the endpoints,
+    and round(10 ** (i * step + log10(lo))) between, as numpy's geomspace."""
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / max(n - 1, 1)
+    inner = (round(10.0 ** (i * step + start)) for i in range(1, n - 1))
+    return array("q", [lo, *inner, hi][:n])
 
 
 def trost_bounds(x: int) -> tuple[float, float]:
@@ -129,8 +132,8 @@ def twin_prime_constant(pmax: int) -> float:
     """2 * prod_{3 <= p <= pmax} (1 - 1/(p-1)**2), decreasing in pmax."""
     if pmax < 3:
         raise ValueError(f"pmax must be >= 3, got {pmax}")
-    p = small_primes(pmax)[1:].astype(np.float64)
-    return 2.0 * float(np.prod(1.0 - 1.0 / (p - 1.0) ** 2))
+    return 2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
+                           for p in small_primes(pmax)[1:])
 
 
 @lru_cache(maxsize=16)
@@ -138,8 +141,7 @@ def twin_ratio_product(pmax: int) -> float:
     """prod_{3 <= p <= pmax} (p-1)/(p-2); diverges as pmax grows."""
     if pmax < 3:
         raise ValueError(f"pmax must be >= 3, got {pmax}")
-    p = small_primes(pmax)[1:].astype(np.float64)
-    return float(np.prod((p - 1.0) / (p - 2.0)))
+    return math.prod((p - 1.0) / (p - 2.0) for p in small_primes(pmax)[1:])
 
 
 def hardy_littlewood_simple(x: int, euler_pmax: int = DEFAULT_EULER_PMAX) -> float:

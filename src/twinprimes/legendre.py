@@ -39,7 +39,7 @@ def first_primes(r: int) -> tuple[int, ...]:
         # The tuple takes 40 bytes per prime: an 8-byte slot, a 32-byte int.
         ps = small_primes(bound, held_bytes=40 * r)
         if len(ps) >= r:
-            return tuple(int(p) for p in ps[:r])
+            return tuple(ps[:r])
         bound *= 2
 
 

@@ -25,13 +25,13 @@ always reported, independent of cell status.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from importlib import resources
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
-
-import numpy as np
 
 from . import counting, estimators, legendre
 from .config import RunConfig
@@ -418,30 +418,30 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
             "vanishing_density_trend", ok,
             f"pi2/x and pi2/pi strictly decreasing over {decades}"))
 
-    # One table of r-rough indicators feeds both phi checks: its cumsum
-    # along y is phi(y, r) for every y <= y_top and r <= 10.
+    # One table of r-rough indicators feeds both phi checks: row r of its
+    # running sums along y is phi(y, r) for every y <= y_top and r <= 10.
     y_max, y_top = min(2000, sieve.limit), min(10**4, sieve.limit)
-    rough = np.ones((11, y_top + 1), dtype=bool)
-    rough[:, 0] = False
-    for r, p in enumerate(legendre.first_primes(10), start=1):
-        rough[r:, p::p] = False
-    phi = np.cumsum(rough, axis=1)
+    rough = bytearray(b"\x00") + bytearray(b"\x01") * y_top
+    phi = [array("q", accumulate(rough))]
+    for p in legendre.first_primes(10):
+        rough[p::p] = bytearray(y_top // p)
+        phi.append(array("q", accumulate(rough)))
     mism = []
     for r in range(8):
         for y in range(0, y_max + 1, 7):
             phis = {legendre.phi_recursive(y, r), legendre.phi_mobius(y, r)}
-            if phis != {int(phi[r, y])}:
+            if phis != {phi[r][y]}:
                 mism.append((y, r))
     add(InvariantCheck(
         "phi_two_routes_vs_bruteforce", not mism,
         f"disagreements at {mism[:5]}" if mism
         else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7"))
 
-    ys = np.arange(1, y_top + 1, 3)
-    pi_ys = np.searchsorted(small_primes(y_top), ys, side="right")
-    above = pi_ys[:, None] > phi[:, ys].T + np.arange(11)
-    bad = [(int(ys[i]), int(r)) for i, r in np.argwhere(above)]
-    del rough, phi, above  # before the Euler products below take theirs
+    primes, bad = small_primes(y_top), []
+    for y in range(1, y_top + 1, 3):
+        pi_y = bisect_right(primes, y)
+        bad += [(y, r) for r in range(11) if pi_y > phi[r][y] + r]
+    del rough, phi  # before the Euler products below take theirs
     add(InvariantCheck(
         "phi_prime_count_bound_grid", not bad,
         f"violations at {bad[:5]}" if bad

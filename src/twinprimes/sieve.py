@@ -16,17 +16,22 @@ count_at reads the same windows up to its largest point and keeps no
 store, only the base primes, one window per thread and its answers: it
 counts each window with the store's block counter, _block_counts, answers
 each point inside a window with the store's query, _prefix_count, on that
-window alone, and joins neighbouring windows at their edge bits.  A second
-pass over the distinct pi(x) gives pi(pi(x)).
+window alone, and joins neighbouring windows at their edge bits; inside one
+window it counts on small_primes' odd flags, _odd_flags, and loads no numpy.
+A second pass over the distinct pi(x) gives pi(pi(x)).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_left
+from itertools import chain, compress
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Odd candidates per sieve window, a multiple of 8; read by each build, so
 # tests may patch it.  Benchmarked 2**18..2**23 at limit 3.7e7: 2**20 (1 MiB
@@ -83,8 +88,18 @@ def _admit(required: int, budget: int) -> None:
         raise MemoryBudgetError(required, held, budget)
 
 
-def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
-    """All primes <= limit via a plain unsegmented boolean sieve.
+def _odd_flags(limit: int) -> bytearray:
+    """flags[i] == 1 iff 2i + 3 is prime, for the odd numbers in [3, limit]."""
+    flags = bytearray(b"\x01") * ((limit - 1) // 2)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[(p - 3) // 2]:
+            start = (p * p - 3) // 2
+            flags[start::p] = bytearray(len(range(start, len(flags), p)))
+    return flags
+
+
+def small_primes(limit: int, *, held_bytes: int = 0) -> array:
+    """All primes <= limit, as array('q'), from one unsegmented sieve.
 
     Bootstrap helper for the segmented sieve and for Euler products; fine up
     to a few 10**7, do not use for the main store.  Refuses, before
@@ -92,25 +107,23 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> np.ndarray:
     builds from them, could take the process past DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    # One flag byte per n, plus two int64 arrays of at most
-    # 1.25506 n / ln n primes (Rosser and Schoenfeld 1962).
-    required = held_bytes + limit + 1 + 16 * math.ceil(
+        return array("q")
+    # Odd flags and a third more (zeros as a bytearray, which is not copied),
+    # small objects, 9 bytes (8, and growth) per prime, at most 1.25506 n /
+    # ln n primes (Rosser and Schoenfeld 1962).
+    required = held_bytes + 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
     _admit(required, DEFAULT_MEMORY_BUDGET)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    return array("q", chain((2,), compress(range(3, limit + 1, 2),
+                                           _odd_flags(limit))))
 
 
-def _windows(limit: int, odd_base: np.ndarray, ks: range):
+def _windows(limit: int, odd_base: array, ks: range):
     """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
-    odd numbers in [3, limit], given the odd primes up to sqrt(limit) as
-    int64.  words is whole blocks of _BLOCK words; its bit j is store bit
+    odd numbers in [3, limit], given the odd primes up to sqrt(limit).
+    words is whole blocks of _BLOCK words; its bit j is store bit
     k * SEGMENT_SIZE + j, 0 past the window and past limit."""
+    import numpy as np
     segment_size = SEGMENT_SIZE
     n_odd = (limit - 1) // 2
     # One reused flag per odd number, padded to whole blocks with False.
@@ -124,7 +137,7 @@ def _windows(limit: int, odd_base: np.ndarray, ks: range):
         pattern[(p - 3) // 2 :: p] = False
     # Bit (p - 3) / 2 + m * p is an odd multiple of p, bit (p * p - 3) / 2
     # the first that a window clears.
-    primes = odd_base[odd_base > _PRESIEVE[-1]]
+    primes = np.asarray(odd_base[len(_PRESIEVE):], dtype=np.int64)
     steps = primes.tolist()
     residues, squares = (primes - 3) // 2, (primes * primes - 3) // 2
     for k in ks:
@@ -185,6 +198,7 @@ def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [0, len(words) // _BLOCK]; len(words) is a multiple of _BLOCK.  Twin
     bit i is set iff bits i and i + 1 are, and the bit past the end reads
     as 0."""
+    import numpy as np
     prime_cum = np.zeros(len(words) // _BLOCK + 1, dtype=np.int64)
     twin_cum = np.zeros_like(prime_cum)
     twins = np.empty(min(len(words), _SHIFT_BLOCK), dtype=words.dtype)
@@ -242,6 +256,7 @@ class PrimeSieve:
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Strictly increasing array of all primes in [lo, hi]."""
+        import numpy as np
         self._check_range(lo, "lo")
         self._check_range(hi, "hi")
         if lo > hi:
@@ -277,6 +292,9 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     """Upper bound on the bytes a build allocates, every array counted at
     once; with store=False, on those of count_at at that many points."""
     n_odd = (limit - 1) // 2
+    if not store and n_odd <= SEGMENT_SIZE:  # small_primes' flags, answers
+        return 2 * limit // 3 + 16384 + 1024 * points
+    import numpy  # noqa: F401  (imported here, so that the guard sees it held)
     root = math.isqrt(limit)
     # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld).
@@ -287,7 +305,7 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     # Each thread's stack and malloc arena pages and the pool's objects,
     # measured at 150-280 KiB a thread.
     pool = 0 if workers == 1 else 512 * 1024 * workers
-    if workers > 1:  # imported here, so that the guard sees it held
+    if workers > 1:  # imported here too
         import concurrent.futures  # noqa: F401
 
     def block_counts(n: int) -> int:
@@ -320,7 +338,7 @@ def build_sieve(
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
     _admit(_estimate_bytes(limit, threads), memory_budget)
-
+    import numpy as np
     n_odd = (limit - 1) // 2
     odd_base = small_primes(math.isqrt(limit))[1:]
     # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
@@ -363,7 +381,7 @@ Counts = PrimeSieve | PointCounts
 
 def _count_pass(xs: list[int], threads: int) -> dict:
     """{x: (pi(x), pi2(x))} for sorted xs >= 2, counted from the windows of
-    _windows up to xs[-1] as they pass."""
+    _windows up to xs[-1] as they pass, or on _odd_flags in one window."""
     if not xs:
         return {}
     limit, size = xs[-1], SEGMENT_SIZE
@@ -375,8 +393,6 @@ def _count_pass(xs: list[int], threads: int) -> dict:
     bits = [bit for bit, _ in keys]
     _admit(_estimate_bytes(limit, threads, False, len(xs)),
            DEFAULT_MEMORY_BUDGET)
-    odd_base = small_primes(math.isqrt(limit))[1:]
-    top = size - 1
 
     def count_run(ks: range):
         # Primes and twin bits in a run of windows, each key's from the
@@ -394,16 +410,28 @@ def _count_pass(xs: list[int], threads: int) -> dict:
             total = [n + cum.item(-1) for n, cum in zip(total, cums)]
             if k == ks.start:
                 first = w.item(0) & 1
-            last = (w.item(top >> 6) >> (top & 63)) & 1
+            last = (w.item((size - 1) >> 6) >> ((size - 1) & 63)) & 1
             del cums  # before the next window is sieved
         return total, first, last, below
 
     total, last, below = [0, 0], 0, {}
-    for run_total, first, run_last, run_below in _fan_out(count_run, threads,
-                                                          n_windows):
-        total[1] += last & first
-        below.update((key, total[key[1]] + n) for key, n in run_below.items())
-        total, last = [a + b for a, b in zip(total, run_total)], run_last
+    if n_windows == 1:
+        # Primes are set flags and twin bits non-overlapping pairs of them; of
+        # three odd numbers one is 0 mod 3, so only 3, 5, 7 needs (5, 7) added.
+        flags, start = _odd_flags(limit), [0, 0]
+        for bit, twin in keys:
+            a, start[twin] = start[twin], bit
+            total[twin] += (flags.count(b"\x01" * (1 + twin), a, bit + twin)
+                            + (twin and a == 0 and bit > 1))
+            below[bit, twin] = total[twin]
+    else:
+        odd_base = small_primes(math.isqrt(limit))[1:]
+        for run_total, first, run_last, run_below in _fan_out(
+                count_run, threads, n_windows):
+            total[1] += last & first
+            below.update((key, total[key[1]] + n)
+                         for key, n in run_below.items())
+            total, last = [a + b for a, b in zip(total, run_total)], run_last
     return {x: (1 + below[(x - 1) // 2, 0],
                 below[(x - 5) // 2 + 1, 1] if x >= 5 else 0) for x in xs}
 

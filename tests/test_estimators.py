@@ -22,6 +22,7 @@ from twinprimes import (
     sandwich_check,
     trost_bounds,
     twin_count_estimate,
+    small_primes,
     twin_prime_constant,
     twin_ratio_product,
 )
@@ -313,3 +314,24 @@ def test_log_grid_shape():
     assert len(grid) == 200
     assert grid[0] == 5 and grid[-1] == 10**6
     assert np.all(np.diff(grid) >= 0)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_log_grid_is_numpys_rounded_geomspace(n):
+    # numpy's formula, which the grid replaced, is the reference: at every
+    # hi up to 10**4, then at every 997th up to 10**6.
+    for hi in [*range(5, 10**4 + 1), *range(10**4 + 997, 10**6, 997), 10**6]:
+        want = np.round(np.geomspace(5, hi, n)).astype(np.int64).tolist()
+        assert log_grid(5, hi, n).tolist() == want, hi
+
+
+@pytest.mark.parametrize("pmax", [
+    100, 10**3, 10**4, 10**5, 10**6,
+    *np.random.default_rng(20261018).integers(3, 10**6, 6).tolist()])
+def test_euler_products_are_numpys_bit_for_bit(pmax):
+    # The numpy products they replaced: the same factors, multiplied in the
+    # same order.
+    p = np.asarray(small_primes(pmax)[1:], dtype=np.float64)
+    assert twin_prime_constant(pmax) == 2.0 * float(
+        np.prod(1.0 - 1.0 / (p - 1.0) ** 2))
+    assert twin_ratio_product(pmax) == float(np.prod((p - 1.0) / (p - 2.0)))

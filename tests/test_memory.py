@@ -22,8 +22,11 @@ pytestmark = pytest.mark.skipif(
 
 _LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
+# A build imports numpy before its guard reads RSS, so the guard counts
+# numpy as held, not as requested: the child imports it before `before`.
 _CHILD = """
 import json, resource, sys
+import numpy
 from twinprimes import sieve
 limit, threads = int(sys.argv[1]), int(sys.argv[2])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -138,3 +141,37 @@ def test_an_inherited_peak_is_not_counted():
     assert got["peak"] >= 96 * 2**20
     assert got["pass"] == [78_498, 8_169]
     assert (got["small"], got["store"]) == (78_498, 8_169)
+
+
+# Counts in one window, then in two, under a budget of what the process held
+# before numpy was imported plus the two-window estimate and 4 MiB; numpy
+# takes ~12.5 MiB of RSS.
+_NUMPY_HELD = """
+import json, sys
+from twinprimes import sieve
+estimate = int(sys.argv[1])
+held = sieve._rss_bytes()
+sieve.DEFAULT_MEMORY_BUDGET = held + estimate + 4 * 2**20
+one = sieve.count_at(10**6, [10**6]).count_twins_upto(10**6)
+loaded = "numpy" in sys.modules
+try:
+    sieve.count_at(3 * 10**6, [3 * 10**6])
+except sieve.MemoryBudgetError as err:
+    print(json.dumps({"one": one, "loaded": loaded, "before": held,
+                      "held": err.held_bytes}))
+else:
+    sys.exit("the two-window pass was admitted")
+"""
+
+
+def test_a_multi_window_guard_counts_numpy_as_held():
+    # Imported after the guard, numpy's RSS would pass the budget unseen.
+    estimate = sieve_mod._estimate_bytes(3 * 10**6, 1, False, 1)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_HELD, str(estimate)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert (got["one"], got["loaded"]) == (8_169, False)
+    assert got["held"] > got["before"] + 4 * 2**20

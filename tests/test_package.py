@@ -1,9 +1,11 @@
 """`import twinprimes` loads no module of the package and no numpy; each
-public name and module loads on first use, and `twinprimes sieve` loads only
-the modules it runs."""
+public name and module loads on first use, `twinprimes sieve` loads only
+the modules it runs, and numpy only where a count spans two windows."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,9 +39,33 @@ def test_sieve_subcommand_loads_only_what_it_runs():
         "assert cli.main(['sieve', '--limit', '1000']) == 0")
     for name in ("report", "estimators", "legendre", "counting"):
         assert f"twinprimes.{name}" not in loaded, name
-    for name in ("json", "statistics", "concurrent.futures"):
+    for name in ("json", "statistics", "concurrent.futures", "numpy"):
         assert name not in loaded, name
-    assert {"twinprimes.cli", "twinprimes.sieve", "numpy"} <= loaded
+    assert {"twinprimes.cli", "twinprimes.sieve"} <= loaded
+
+
+_SWEEP = json.loads((Path(__file__).parents[1] / "perfbench" / "data"
+                     / "cases.json").read_text())["sweep"]
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP))
+def test_a_sweep_subcommand_at_1e6_loads_no_numpy(case):
+    # Every point lies in the first window of 2**20 odd numbers.
+    argv, code = _SWEEP[case]["argv"], _SWEEP[case]["exit"]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from twinprimes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}\n")
+    assert "1000000" in argv
+    assert "numpy" not in loaded
+
+
+def test_a_count_past_one_window_loads_numpy():
+    loaded = _loaded_after(
+        "from twinprimes import cli\n"
+        "assert cli.main(['sieve', '--limit', '3000000']) == 0")
+    assert "numpy" in loaded
 
 
 def test_every_exported_name_resolves():

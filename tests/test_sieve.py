@@ -135,11 +135,11 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     # Refused before any of its ~1 TB is allocated.
     with pytest.raises(MemoryBudgetError):
         small_primes(10**12)
-    # The bound is not below a flag byte per n plus 16 bytes per prime at
-    # 10**6, more than the call really holds (next test), on top of what the
-    # process holds.
+    # The bound is not below a flag byte per odd number plus 9 bytes per
+    # prime at 10**6, more than the call really holds (next test), on top of
+    # what the process holds.
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 10**8)
-    held = 10**6 + 1 + 16 * 78_498
+    held = (10**6 - 1) // 2 + 9 * 78_498
     monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 10**8 + held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
@@ -147,15 +147,16 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
 
 
 def test_small_primes_holds_the_flags_and_one_index_array():
-    # A flag byte per n and 8 bytes per prime for the int64 indices; a copy
-    # of the indices would take 16 bytes per prime, above the 12 allowed.
+    # A flag byte per odd number and a third more while the multiples of 3
+    # are cleared, and 8 bytes per prime for the array with a sixteenth for
+    # its growth; a copy of the primes would take 8 bytes more per prime.
     tracemalloc.start()
     try:
         small_primes(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10**6 + 1 + 12 * 78_498
+    assert peak <= (10**6 - 1) // 2 * 4 // 3 + 9 * 78_498
 
 
 def test_repeated_builds_are_deterministic():
@@ -350,6 +351,46 @@ def test_count_at_answers_only_its_points():
             count_at(10**4, xs)
 
 
+def test_one_window_pass_matches_trial_division(trial_pi_1e4,
+                                                trial_twin_1e4, monkeypatch):
+    # Below 300 every pass counts on the flags of one window, never on the
+    # windows of numpy.  A pass from 2 reads the run 3, 5, 7 at bits 0 to 2
+    # whole; a pass at every x splits it between spans.
+    def no_windows(*args):
+        raise AssertionError("a one-window pass sieved windows")
+
+    monkeypatch.setattr(sieve_mod, "_windows", no_windows)
+    want = {x: (trial_pi_1e4[x], trial_twin_1e4[x]) for x in range(2, 301)}
+    for x in range(5, 301):
+        assert pi_pi2(x) == want[x], x
+    counts = count_at(300, range(2, 301))
+    for x in range(2, 301):
+        assert (counts.count_primes_upto(x),
+                counts.count_twins_upto(x)) == want[x], x
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment_size=st.sampled_from([64, 72, 512]),
+       offset=st.integers(-40, 40), threads=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_and_two_window_passes_match_the_store(store_3e5, segment_size,
+                                                   offset, threads, seed):
+    # A pass up to 2 * size + 2, whose (x - 1) // 2 is size, fits in one
+    # window; the next odd number needs a second.
+    limit = 2 * segment_size + 2 + offset
+    rng = np.random.default_rng(seed)
+    xs = [*rng.integers(2, limit, 30, endpoint=True).tolist(), limit]
+    with mock.patch.object(os, "cpu_count", lambda: 2), \
+            mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size), \
+            mock.patch.object(sieve_mod, "_windows",
+                              wraps=sieve_mod._windows) as windows:
+        counts = count_at(limit, xs, threads=threads)
+    assert windows.called == (offset > 0)
+    for x in xs:
+        assert counts.count_primes_upto(x) == store_3e5.count_primes_upto(x)
+        assert counts.count_twins_upto(x) == store_3e5.count_twins_upto(x)
+
+
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
 def test_count_pass_below_five(trial_pi_1e4, trial_twin_1e4, segment_size,
                                monkeypatch):
@@ -420,7 +461,8 @@ def test_budget_counts_what_the_process_holds(monkeypatch):
     with pytest.raises(MemoryBudgetError):
         build_sieve(limit, memory_budget=need - 1)
     build_sieve(limit, memory_budget=need)
-    growth = limit + 1 + 16 * math.ceil(1.25506 * limit / math.log(limit))
+    growth = 2 * limit // 3 + 16384 + 9 * math.ceil(
+        1.25506 * limit / math.log(limit))
     for run, need in ((pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
                       (small_primes, held + growth)):
         monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need - 1)
