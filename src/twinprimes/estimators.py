@@ -80,8 +80,7 @@ def round_half_away(v: float) -> int:
 
 
 def log_grid(lo: int = 5, hi: int = 10**6, n: int = 200) -> array:
-    """n log-spaced integers covering [lo, hi], as array('q'): the endpoints,
-    and round(10 ** (i * step + log10(lo))) between, as numpy's geomspace."""
+    """n log-spaced integers covering [lo, hi]: numpy's geomspace, rounded."""
     start = math.log10(lo)
     step = (math.log10(hi) - start) / max(n - 1, 1)
     inner = (round(10.0 ** (i * step + start)) for i in range(1, n - 1))
@@ -127,21 +126,25 @@ def sandwich_check(sieve: Counts, x: int) -> SandwichCheck:
     )
 
 
+@lru_cache(maxsize=1)
+def _odd_primes(pmax: int) -> array:
+    """The odd primes <= pmax, kept for the other product at the same pmax."""
+    if pmax < 3:
+        raise ValueError(f"pmax must be >= 3, got {pmax}")
+    return small_primes(pmax)[1:]
+
+
 @lru_cache(maxsize=16)
 def twin_prime_constant(pmax: int) -> float:
     """2 * prod_{3 <= p <= pmax} (1 - 1/(p-1)**2), decreasing in pmax."""
-    if pmax < 3:
-        raise ValueError(f"pmax must be >= 3, got {pmax}")
-    return 2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
-                           for p in small_primes(pmax)[1:])
+    odd = _odd_primes(pmax)
+    return 2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2 for p in odd)
 
 
 @lru_cache(maxsize=16)
 def twin_ratio_product(pmax: int) -> float:
     """prod_{3 <= p <= pmax} (p-1)/(p-2); diverges as pmax grows."""
-    if pmax < 3:
-        raise ValueError(f"pmax must be >= 3, got {pmax}")
-    return math.prod((p - 1.0) / (p - 2.0) for p in small_primes(pmax)[1:])
+    return math.prod((p - 1.0) / (p - 2.0) for p in _odd_primes(pmax))
 
 
 def hardy_littlewood_simple(x: int, euler_pmax: int = DEFAULT_EULER_PMAX) -> float:

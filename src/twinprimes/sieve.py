@@ -16,9 +16,8 @@ count_at reads the same windows up to its largest point and keeps no
 store, only the base primes, one window per thread and its answers: it
 counts each window with the store's block counter, _block_counts, answers
 each point inside a window with the store's query, _prefix_count, on that
-window alone, and joins neighbouring windows at their edge bits; inside one
-window it counts on small_primes' odd flags, _odd_flags, and loads no numpy.
-A second pass over the distinct pi(x) gives pi(pi(x)).
+window alone, and joins neighbouring windows at their edge bits; within one
+window it counts on _odd_flags without numpy.  A second pass gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -108,9 +107,8 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> array:
     """
     if limit < 2:
         return array("q")
-    # Odd flags and a third more (zeros as a bytearray, which is not copied),
-    # small objects, 9 bytes (8, and growth) per prime, at most 1.25506 n /
-    # ln n primes (Rosser and Schoenfeld 1962).
+    # Odd flags and a third more (bytearray zeros), small objects, 9 bytes
+    # per prime (8, growth), <= 1.25506 n / ln n primes (Rosser-Schoenfeld).
     required = held_bytes + 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
     _admit(required, DEFAULT_MEMORY_BUDGET)
@@ -429,8 +427,7 @@ def _count_pass(xs: list[int], threads: int) -> dict:
         for run_total, first, run_last, run_below in _fan_out(
                 count_run, threads, n_windows):
             total[1] += last & first
-            below.update((key, total[key[1]] + n)
-                         for key, n in run_below.items())
+            below.update((k, total[k[1]] + n) for k, n in run_below.items())
             total, last = [a + b for a, b in zip(total, run_total)], run_last
     return {x: (1 + below[(x - 1) // 2, 0],
                 below[(x - 5) // 2 + 1, 1] if x >= 5 else 0) for x in xs}

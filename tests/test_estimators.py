@@ -335,3 +335,21 @@ def test_euler_products_are_numpys_bit_for_bit(pmax):
     assert twin_prime_constant(pmax) == 2.0 * float(
         np.prod(1.0 - 1.0 / (p - 1.0) ** 2))
     assert twin_ratio_product(pmax) == float(np.prod((p - 1.0) / (p - 2.0)))
+
+
+def test_both_euler_products_share_one_sieve(monkeypatch):
+    # The product estimator reads both products; pmax is sieved once for
+    # the two.
+    from twinprimes import estimators as estimators_mod
+
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return small_primes(limit)
+
+    monkeypatch.setattr(estimators_mod, "small_primes", counted)
+    for pmax in (12_347, 12_349):
+        hardy_littlewood_product(10**6, pmax)
+        twin_ratio_product(pmax), twin_prime_constant(pmax)
+    assert calls == [12_347, 12_349]

@@ -135,11 +135,10 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     # Refused before any of its ~1 TB is allocated.
     with pytest.raises(MemoryBudgetError):
         small_primes(10**12)
-    # The bound is not below a flag byte per odd number plus 9 bytes per
-    # prime at 10**6, more than the call really holds (next test), on top of
-    # what the process holds.
+    # The bound is not below what the call really holds at 10**6 (the next
+    # test's ceiling), on top of what the process holds.
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 10**8)
-    held = (10**6 - 1) // 2 + 9 * 78_498
+    held = (10**6 - 1) // 2 * 4 // 3 + 9 * 78_498
     monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 10**8 + held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
