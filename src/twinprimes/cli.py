@@ -15,7 +15,8 @@ configurations produce byte-identical csv/json output regardless of
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import atexit
+import gc
 import os
 import sys
 from itertools import chain
@@ -65,19 +66,20 @@ def _write(text: str, out: str | Path | None) -> None:
 # Every flag, declared once.  A flag whose dest is a RunConfig field feeds
 # _run_config, which takes RunConfig's own default for a flag a subcommand
 # does not have.
+_DEFAULTS = RunConfig._field_defaults
 _FLAGS = {
-    "--limit": dict(type=int, default=RunConfig.limit,
+    "--limit": dict(type=int, default=_DEFAULTS["limit"],
                     help="bound on the points read (default %(default)s)"),
-    "--threads": dict(type=int, default=RunConfig.threads,
+    "--threads": dict(type=int, default=_DEFAULTS["threads"],
                       help="counting threads; never changes results"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),
     "--format": dict(help="output format (default %(default)s)"),
     "--out": dict(default=None, help="output path (default stdout)"),
-    "--hc": dict(dest="h_c", type=float, default=RunConfig.h_c,
+    "--hc": dict(dest="h_c", type=float, default=_DEFAULTS["h_c"],
                  help="override the calibrated ratio constant"),
-    "--euler-pmax": dict(type=int, default=RunConfig.euler_pmax,
+    "--euler-pmax": dict(type=int, default=_DEFAULTS["euler_pmax"],
                          help="Euler-product truncation bound"),
     "--strict-paper": dict(action="store_true",
                            help="treat reference mismatches as failures "
@@ -93,12 +95,10 @@ _SHARED = ("--limit", "--threads")
 _TABLE_FORMATS = ("csv", "json", "text")
 _REPORT_FORMATS = ("text", "json")
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-
 
 def _run_config(args, **overrides) -> RunConfig:
     """The RunConfig of a parsed command line; `overrides` replace fields."""
-    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    given = {k: v for k, v in vars(args).items() if k in RunConfig._fields}
     return RunConfig(**{**given, **overrides})
 
 
@@ -225,7 +225,7 @@ def _cmd_check(args) -> int:
         doc = {
             "invariants": {
                 "passed": invariants.passed,
-                "checks": [dataclasses.asdict(c) for c in invariants.checks],
+                "checks": [c._asdict() for c in invariants.checks],
             },
             "audit_status_counts": audit.status_counts(),
             "audit_conflicts": len(audit.conflicts),
@@ -323,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Once per process: at exit the heap is left to the OS, not collected.
+    # stdout is still flushed, and every file written is closed already.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -1,8 +1,8 @@
-"""Run configuration and exit codes; importing this module loads no numpy."""
+"""Run configuration, exit codes and `Validated`; imports no numpy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Calibrated mean density ratio (overridable via `calibrate`) and the
 # truncation bound of every Euler product.
@@ -16,8 +16,31 @@ EXIT_INVARIANT_FAILURE = 2
 EXIT_REFERENCE_MISMATCH = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class Validated:
+    """NamedTuple mixin: building, `_make` and `_replace` run `_validate`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's (and _replace) skip __new__
+        return cls(*iterable)
+
+
+class _RunConfigFields(NamedTuple):
+    limit: int = 10**6
+    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
+    h_c: float = DEFAULT_H_C
+    euler_pmax: int = DEFAULT_EULER_PMAX
+    strict_paper: bool = False
+    threads: int = 1
+
+
+class RunConfig(Validated, _RunConfigFields):
     """Everything a reproducible run depends on.
 
     limit bounds the points a run reads: the reference rows up to it, or
@@ -27,14 +50,9 @@ class RunConfig:
     thread count never changes an output byte; it only tunes the count.
     """
 
-    limit: int = 10**6
-    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
-    h_c: float = DEFAULT_H_C
-    euler_pmax: int = DEFAULT_EULER_PMAX
-    strict_paper: bool = False
-    threads: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if self.limit < 5:
             raise ValueError(f"limit must be >= 5, got {self.limit}")
         if self.checkpoints is not None:

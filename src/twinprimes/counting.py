@@ -9,14 +9,12 @@ surfaces every such disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .sieve import Counts, SieveRangeError
 
 
-@dataclass(frozen=True)
-class CountCheckpoint:
+class CountCheckpoint(NamedTuple):
     """One sampled row of the hypothesis table."""
 
     x: int

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
 from .sieve import Counts, small_primes
@@ -31,8 +30,7 @@ LN_1_6 = math.log(1.6)
 H_RATIO_CAP = 5.12
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     """One row of the bounds table: a_bound < pi2_x < b_bound expected."""
 
     x: int
@@ -41,8 +39,7 @@ class BoundsRow:
     b_bound: float
 
 
-@dataclass(frozen=True)
-class SandwichCheck:
+class SandwichCheck(NamedTuple):
     """Sandwich evaluation at x: bounds, both counts, and verdicts."""
 
     x: int
@@ -58,8 +55,7 @@ class SandwichCheck:
         return BoundsRow(self.x, self.a_bound, self.pi2_x, self.b_bound)
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     """One row of the estimator table, densities included."""
 
     x: int

@@ -15,9 +15,10 @@ free parameter here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
+from .config import Validated
 from .sieve import Counts, small_primes
 
 MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
@@ -96,8 +97,7 @@ def phi_mobius(y: int, r: int) -> int:
     return sum(s * (y // d) for d, s in divisors)
 
 
-@dataclass(frozen=True)
-class PhiPrimeBound:
+class PhiPrimeBound(NamedTuple):
     """Result of checking pi(y) <= phi(y, r) + r."""
 
     y: int
@@ -114,18 +114,21 @@ def check_phi_pi_bound(sieve: Counts, y: int, r: int) -> PhiPrimeBound:
     return PhiPrimeBound(y, r, pi_y, phi, pi_y <= phi + r)
 
 
-@dataclass(frozen=True)
-class DensityBoundParams:
+class _DensityBoundFields(NamedTuple):
+    c: float
+    y: int
+
+
+class DensityBoundParams(Validated, _DensityBoundFields):
     """Parameters for the explicit prime-density upper bound with r = c*ln(y).
 
     Requires c*ln(2) < 1 (so 2**r < y) and ln(c) + ln(ln(y)) > 0 (positive
     denominator); violations are rejected up front.
     """
 
-    c: float
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if self.c <= 0:
             raise ValueError(f"c must be positive, got c={self.c}")
         if self.c * _LN2 >= 1:
@@ -142,8 +145,7 @@ class DensityBoundParams:
             )
 
 
-@dataclass(frozen=True)
-class DensityBoundCheck:
+class DensityBoundCheck(NamedTuple):
     r: float  # c * ln(y)
     bound: float
     actual: float  # pi(y) / y

@@ -15,7 +15,7 @@ from the sieve and classified:
 
 CSV and text print each cell at that same rounding, ties away from zero,
 so the audit and the printed tables follow one rule, the fixture's.  JSON
-keeps full precision.
+keeps full precision: it prints each record, a NamedTuple, by _asdict().
 
 Cross-table disagreements between the reference tables themselves (the
 published pi2 columns contradict each other at several x) are detected and
@@ -27,11 +27,10 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from importlib import resources
 from itertools import accumulate, combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import counting, estimators, legendre
 from .config import RunConfig
@@ -138,7 +137,7 @@ def render_csv(table_id: int, rows: Sequence) -> str:
 
 def render_json(table_id: int, rows: Sequence) -> str:
     """Full-precision JSON: one object with a rows array."""
-    doc = {"table_id": table_id, "rows": [asdict(row) for row in rows]}
+    doc = {"table_id": table_id, "rows": [row._asdict() for row in rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -176,8 +175,7 @@ def parse_table_csv(table_id: int, text: str) -> list[tuple]:
 # audit
 
 
-@dataclass(frozen=True)
-class ReferenceCell:
+class ReferenceCell(NamedTuple):
     """One reference cell compared against its recomputed value."""
 
     table_id: int
@@ -189,8 +187,7 @@ class ReferenceCell:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CrossTableConflict:
+class CrossTableConflict(NamedTuple):
     """Two reference tables printing different values for the same quantity."""
 
     x: int
@@ -201,10 +198,10 @@ class CrossTableConflict:
     value_b: float
 
 
-@dataclass
 class AuditReport:
-    cells: list[ReferenceCell] = field(default_factory=list)
-    conflicts: list[CrossTableConflict] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.cells: list[ReferenceCell] = []
+        self.conflicts: list[CrossTableConflict] = []
 
     def non_matching(self) -> list[ReferenceCell]:
         return [c for c in self.cells if c.status != STATUS_MATCH]
@@ -243,7 +240,7 @@ def audit_against_reference(sieve: Counts, cfg: RunConfig) -> AuditReport:
     """Recompute every reference cell (x <= limit) and classify agreement."""
     ref = _ref()
     report = AuditReport()
-    ref_cfg = replace(cfg, limit=sieve.limit, checkpoints=None)
+    ref_cfg = cfg._replace(limit=sieve.limit, checkpoints=None)
     computed_rows = {
         t: {r.x: r for r in table_rows(t, sieve, ref_cfg)} for t in (1, 2, 3)
     }
@@ -326,8 +323,8 @@ def render_audit_text(report: AuditReport) -> str:
 def render_audit_json(report: AuditReport) -> str:
     doc = {
         "status_counts": report.status_counts(),
-        "cells": [asdict(c) for c in report.cells],
-        "conflicts": [asdict(k) for k in report.conflicts],
+        "cells": [c._asdict() for c in report.cells],
+        "conflicts": [k._asdict() for k in report.conflicts],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -336,16 +333,15 @@ def render_audit_json(report: AuditReport) -> str:
 # invariant suite
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
+class InvariantCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass
 class InvariantReport:
-    checks: list[InvariantCheck] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[InvariantCheck] = []
 
     @property
     def passed(self) -> bool:

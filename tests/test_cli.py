@@ -246,6 +246,44 @@ def test_rendered_output_matches_golden(name, reproduced, capsys, monkeypatch):
     assert got == (GOLDEN / name).read_bytes()
 
 
+# A CLI process freezes the heap at exit instead of collecting it: what it
+# wrote must be whole by then, on stdout and in files.
+def test_a_reproduce_process_writes_the_golden_files(tmp_path):
+    proc = run_cli("reproduce", *_M, "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"wrote {tmp_path}/\n")
+    golden = GOLDEN / "reproduce"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path
+
+
+def test_a_check_process_writes_the_golden_json(tmp_path):
+    out = tmp_path / "check.json"
+    proc = run_cli("check", *_M, "--format", "json", "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
+    assert out.read_bytes() == (GOLDEN / "check.json").read_bytes()
+
+
+def test_main_registers_the_exit_freeze_once():
+    # gc.freeze is swapped for a counter before main runs; the printer,
+    # registered first, runs last at exit.
+    proc = subprocess.run([sys.executable, "-c", (
+        "import atexit, contextlib, gc, io\n"
+        "calls = []\n"
+        "atexit.register(lambda: print('freezes', len(calls)))\n"
+        "gc.freeze = lambda: calls.append(1)\n"
+        "from twinprimes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(2):\n"
+        "        assert main(['sieve', '--limit', '1000']) == 0\n"
+        "print('ran', len(calls))\n")],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "ran 0\nfreezes 1\n"
+
+
 def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):
     def stdout_of(*argv):
         main([*argv, "--limit", "10000"])

@@ -1,7 +1,10 @@
 """`import twinprimes` loads no module of the package and no numpy; each
 public name and module loads on first use, `twinprimes sieve` loads only
-the modules it runs, and numpy only where a count spans two windows."""
+the modules it runs, and numpy only where a count spans two windows.  No
+subcommand at 10**6 loads `dataclasses` or `inspect`: the records are
+NamedTuples."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -48,17 +51,28 @@ _SWEEP = json.loads((Path(__file__).parents[1] / "perfbench" / "data"
                      / "cases.json").read_text())["sweep"]
 
 
-@pytest.mark.parametrize("case", sorted(_SWEEP))
-def test_a_sweep_subcommand_at_1e6_loads_no_numpy(case):
-    # Every point lies in the first window of 2**20 odd numbers.
+@functools.cache
+def _loaded_by_sweep_case(case):
     argv, code = _SWEEP[case]["argv"], _SWEEP[case]["exit"]
-    loaded = _loaded_after(
+    assert "1000000" in argv
+    return _loaded_after(
         "import contextlib, io\n"
         "from twinprimes import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == {code}\n")
-    assert "1000000" in argv
-    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP))
+def test_a_sweep_subcommand_at_1e6_loads_no_numpy(case):
+    # Every point lies in the first window of 2**20 odd numbers.
+    assert "numpy" not in _loaded_by_sweep_case(case)
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP))
+def test_a_sweep_subcommand_at_1e6_loads_no_dataclasses_or_inspect(case):
+    loaded = _loaded_by_sweep_case(case)
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 def test_a_count_past_one_window_loads_numpy():

@@ -1,0 +1,116 @@
+"""Every public record is an immutable NamedTuple; the two that carry checks
+run them on construction, `_make` and `_replace` alike; and `_asdict()`
+gives the keys in the order the json goldens print them."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import twinprimes
+from twinprimes import (
+    DensityBoundParams,
+    RunConfig,
+    audit_against_reference,
+    bounds_rows,
+    check_phi_pi_bound,
+    checkpoint_rows,
+    density_upper_bound,
+    estimate_rows,
+    run_invariant_suite,
+    sandwich_check,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.fixture(scope="module")
+def records(sieve_1e4):
+    """One instance of every public record type, by its name."""
+    audit = audit_against_reference(sieve_1e4, RunConfig(limit=10**4))
+    instances = [
+        RunConfig(),
+        DensityBoundParams(c=1.0, y=1000),
+        checkpoint_rows(sieve_1e4, [1000])[0],
+        bounds_rows(sieve_1e4, [1000])[0],
+        sandwich_check(sieve_1e4, 1000),
+        estimate_rows(sieve_1e4, [1000])[0],
+        check_phi_pi_bound(sieve_1e4, 1000, 3),
+        density_upper_bound(sieve_1e4, DensityBoundParams(c=1.0, y=1000)),
+        audit.cells[0],
+        audit.conflicts[0],
+        run_invariant_suite(sieve_1e4, RunConfig(limit=10**4)).checks[0],
+    ]
+    return {type(r).__name__: r for r in instances}
+
+
+def test_every_exported_record_is_covered(records):
+    exported = {
+        name for name in twinprimes.__all__
+        if isinstance(getattr(twinprimes, name), type)
+        and issubclass(getattr(twinprimes, name), tuple)
+    }
+    # InvariantCheck, which the package does not export, too.
+    assert exported | {"InvariantCheck"} == set(records)
+
+
+def test_assigning_a_field_is_an_attribute_error(records):
+    for name, record in records.items():
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1
+        assert not hasattr(record, "__dict__"), name
+
+
+# name: (record, valid fields, a bad value)
+_BAD = {
+    "h_c=0": (RunConfig, {}, {"h_c": 0}),
+    "euler_pmax=99": (RunConfig, {}, {"euler_pmax": 99}),
+    "checkpoints-decrease": (RunConfig, {"limit": 10**4},
+                             {"checkpoints": (100, 50)}),
+    "checkpoints-repeat": (RunConfig, {"limit": 10**4},
+                           {"checkpoints": (50, 50)}),
+    "c*ln2>=1": (DensityBoundParams, {"c": 1.0, "y": 1000}, {"c": 1.5}),
+}
+
+
+@pytest.mark.parametrize("cls,good,bad", _BAD.values(), ids=list(_BAD))
+def test_bad_values_are_refused_on_construction_and_replace(cls, good, bad):
+    record = cls(**good)
+    with pytest.raises(ValueError):
+        cls(**{**good, **bad})
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        cls._make([bad.get(f, v) for f, v in zip(cls._fields, record)])
+
+
+def test_replace_keeps_the_type_and_the_other_fields():
+    cfg = RunConfig(limit=10**4, h_c=1.5)
+    new = cfg._replace(limit=10**5, checkpoints=(10, 100))
+    assert type(new) is RunConfig
+    assert new == RunConfig(limit=10**5, checkpoints=(10, 100), h_c=1.5)
+    params = DensityBoundParams(c=1.0, y=1000)._replace(y=10**4)
+    assert type(params) is DensityBoundParams and params.y == 10**4
+
+
+# record: (golden file, the keys down to its list of records)
+_PRINTED_IN = {
+    "CountCheckpoint": ("table1.json", ["rows"]),
+    "BoundsRow": ("table2.json", ["rows"]),
+    "EstimateRow": ("table3.json", ["rows"]),
+    "ReferenceCell": ("audit.json", ["cells"]),
+    "CrossTableConflict": ("audit.json", ["conflicts"]),
+    "InvariantCheck": ("check.json", ["invariants", "checks"]),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_PRINTED_IN))
+def test_asdict_keys_follow_the_golden_order(record, records):
+    golden, path = _PRINTED_IN[record]
+    doc = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    for key in path:
+        doc = doc[key]
+    assert list(records[record]._asdict()) == list(doc[0])
