@@ -121,7 +121,8 @@ def _cmd_table(args) -> int:
     from . import report
     table_id = int(args.command[-1])
     cfg = _run_config(args)
-    rows = report.table_rows(table_id, _counts(cfg, cfg.xs_for(table_id)), cfg)
+    xs = report.table_points(table_id, cfg)
+    rows = report.table_rows(table_id, _counts(cfg, xs), xs, cfg.h_c)
     _write(report.render_table(table_id, rows, args.format), args.out)
     return EXIT_OK
 
@@ -169,7 +170,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_calibrate(args) -> int:
     from . import estimators, report
     cfg = _run_config(args)
-    rows = report.table3_rows(_counts(cfg, cfg.xs_for(3)), cfg)
+    xs = report.table_points(3, cfg)
+    rows = report.table_rows(3, _counts(cfg, xs), xs, cfg.h_c)
     for row in rows:
         _write(f"x={row.x} h={report.format_cell(3, 'h', row.h)}\n", None)
     h_c = estimators.mean_density_ratio(rows)
@@ -253,7 +255,8 @@ def _cmd_reproduce(args) -> int:
     counts = _counts(cfg, *report.suite_points(cfg.limit),
                      report.audit_points(cfg.limit))
     for table_id in (1, 2, 3):
-        rows = report.table_rows(table_id, counts, cfg)
+        rows = report.table_rows(table_id, counts,
+                                 report.table_points(table_id, cfg), cfg.h_c)
         for fmt in ("csv", "json"):
             _write(report.render_table(table_id, rows, fmt),
                    outdir / f"table{table_id}.{fmt}")

@@ -70,12 +70,3 @@ class RunConfig(Validated, _RunConfigFields):
             raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
         if self.euler_pmax < 100:
             raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
-
-    def xs_for(self, table_id: int) -> tuple[int, ...]:
-        if self.checkpoints is not None:
-            return self.checkpoints
-        from .report import reference_checkpoints
-
-        return tuple(
-            x for x in reference_checkpoints(table_id) if x <= self.limit
-        )

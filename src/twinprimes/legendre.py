@@ -35,13 +35,10 @@ def first_primes(r: int) -> tuple[int, ...]:
         raise ValueError(f"r must be >= 0, got {r}")
     if r == 0:
         return ()
-    bound = 15 if r < 6 else int(r * (math.log(r) + math.log(math.log(r)))) + 10
-    while True:
-        # The tuple takes 40 bytes per prime: an 8-byte slot, a 32-byte int.
-        ps = small_primes(bound, held_bytes=40 * r)
-        if len(ps) >= r:
-            return tuple(ps[:r])
-        bound *= 2
+    # p_r < r (ln r + ln ln r) for r >= 6 (Rosser 1941), and p_5 = 11.
+    bound = 15 if r < 6 else int(r * (math.log(r) + math.log(math.log(r))))
+    # The tuple takes 40 bytes per prime: an 8-byte slot, a 32-byte int.
+    return tuple(small_primes(bound, held_bytes=40 * r)[:r])
 
 
 def phi_recursive(y: int, r: int) -> int:

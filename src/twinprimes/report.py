@@ -34,8 +34,7 @@ from typing import NamedTuple, Sequence
 
 from . import counting, estimators, legendre
 from .config import RunConfig
-from .counting import CountCheckpoint
-from .estimators import BoundsRow, EstimateRow, log_grid, round_half_away
+from .estimators import log_grid, round_half_away
 from .sieve import Counts, small_primes
 
 STATUS_MATCH = "match"
@@ -72,23 +71,24 @@ def audit_points(limit: int) -> list[int]:
 # table building
 
 
-def table1_rows(sieve: Counts, cfg: RunConfig) -> list[CountCheckpoint]:
-    xs = cfg.xs_for(1)
-    return counting.checkpoint_rows(sieve, xs) if xs else []
+def table_points(table_id: int, cfg: RunConfig) -> tuple[int, ...]:
+    """Every x that a table reads: cfg's checkpoints, else its reference
+    rows' up to cfg.limit."""
+    if cfg.checkpoints is not None:
+        return cfg.checkpoints
+    return tuple(x for x in reference_checkpoints(table_id) if x <= cfg.limit)
 
 
-def table2_rows(sieve: Counts, cfg: RunConfig) -> list[BoundsRow]:
-    return estimators.bounds_rows(sieve, cfg.xs_for(2))
-
-
-def table3_rows(sieve: Counts, cfg: RunConfig) -> list[EstimateRow]:
-    return estimators.estimate_rows(sieve, cfg.xs_for(3), cfg.h_c)
-
-
-def table_rows(table_id: int, sieve: Counts, cfg: RunConfig) -> list:
-    """Rows of table 1, 2 or 3 at cfg's checkpoints."""
-    builder = {1: table1_rows, 2: table2_rows, 3: table3_rows}[table_id]
-    return builder(sieve, cfg)
+def table_rows(table_id: int, counts: Counts, xs: Sequence[int],
+               h_c: float) -> list:
+    """Rows of table 1, 2 or 3 at xs; table 3 estimates with h_c."""
+    if not xs:
+        return []
+    if table_id == 1:
+        return counting.checkpoint_rows(counts, xs)
+    if table_id == 2:
+        return estimators.bounds_rows(counts, xs)
+    return estimators.estimate_rows(counts, xs, h_c)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +240,12 @@ def audit_against_reference(sieve: Counts, cfg: RunConfig) -> AuditReport:
     """Recompute every reference cell (x <= limit) and classify agreement."""
     ref = _ref()
     report = AuditReport()
-    ref_cfg = cfg._replace(limit=sieve.limit, checkpoints=None)
-    computed_rows = {
-        t: {r.x: r for r in table_rows(t, sieve, ref_cfg)} for t in (1, 2, 3)
-    }
     for table_id in (1, 2, 3):
-        for row in ref[f"table{table_id}"]["rows"]:
+        rows = [r for r in ref[f"table{table_id}"]["rows"]
+                if r["x"] <= sieve.limit]
+        for row, computed in zip(rows, table_rows(
+                table_id, sieve, [r["x"] for r in rows], cfg.h_c)):
             x = row["x"]
-            if x > sieve.limit:
-                continue
-            computed = computed_rows[table_id][x]
             for column, rounding in _columns(table_id)[1:]:
                 reference_value = row[column]
                 computed_value = getattr(computed, column)
@@ -268,21 +264,16 @@ def audit_against_reference(sieve: Counts, cfg: RunConfig) -> AuditReport:
                 )
 
     # cross-table consistency of the reference tables themselves
-    shared_columns = ["pi2_x"]
-    for column in shared_columns:
-        values: dict[int, list[tuple[int, float]]] = {}
-        for table_id in (1, 2, 3):
-            for row in ref[f"table{table_id}"]["rows"]:
-                if column in row:
-                    values.setdefault(row["x"], []).append(
-                        (table_id, row[column])
-                    )
-        for x in sorted(values):
-            for (ta, va), (tb, vb) in combinations(values[x], 2):
-                if va != vb:
-                    report.conflicts.append(
-                        CrossTableConflict(x, column, ta, va, tb, vb)
-                    )
+    values: dict[int, list[tuple[int, float]]] = {}
+    for table_id in (1, 2, 3):
+        for row in ref[f"table{table_id}"]["rows"]:
+            if "pi2_x" in row:
+                values.setdefault(row["x"], []).append((table_id, row["pi2_x"]))
+    for x in sorted(values):
+        for (ta, va), (tb, vb) in combinations(values[x], 2):
+            if va != vb:
+                report.conflicts.append(
+                    CrossTableConflict(x, "pi2_x", ta, va, tb, vb))
     return report
 
 

@@ -14,10 +14,12 @@ count up to any x <= limit is one cumulative count plus the popcount of one
 masked span of at most a block, from which twin bits are derived.
 count_at reads the same windows up to its largest point and keeps no
 store, only the base primes, one window per thread and its answers: it
-counts each window with the store's block counter, _block_counts, answers
-each point inside a window with the store's query, _prefix_count, on that
-window alone, and joins neighbouring windows at their edge bits; within one
-window it counts on _odd_flags without numpy.  A second pass gives pi(pi(x)).
+answers each point inside a window, and totals the window, with the store's
+block counter, _block_counts, and query, _prefix_count, on that window
+alone; within one window it counts on _odd_flags without numpy.  Each
+window is sieved one odd number past its end, so a twin pair that straddles
+two windows is the first's, and the windows' totals add up.  A second pass
+gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -120,12 +122,15 @@ def _windows(limit: int, odd_base: array, ks: range):
     """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
     odd numbers in [3, limit], given the odd primes up to sqrt(limit).
     words is whole blocks of _BLOCK words; its bit j is store bit
-    k * SEGMENT_SIZE + j, 0 past the window and past limit."""
+    k * SEGMENT_SIZE + j for j <= SEGMENT_SIZE, one past the window, so that
+    its last twin bit is whole; 0 past that and past limit."""
     import numpy as np
     segment_size = SEGMENT_SIZE
     n_odd = (limit - 1) // 2
-    # One reused flag per odd number, padded to whole blocks with False.
-    seg = np.empty(64 * _BLOCK * -(-segment_size // (64 * _BLOCK)), dtype=bool)
+    # One reused flag per odd number and one past, padded to whole blocks
+    # with False.
+    seg = np.empty(64 * _BLOCK * (segment_size // (64 * _BLOCK) + 1),
+                   dtype=bool)
     rows, tail = divmod(len(seg), _PERIOD)
     # Two periods of flags for the odd numbers from 3, False at the odd
     # multiples of the pre-sieve primes, so that a whole period can be read
@@ -140,7 +145,7 @@ def _windows(limit: int, odd_base: array, ks: range):
     residues, squares = (primes - 3) // 2, (primes * primes - 3) // 2
     for k in ks:
         lo_i = k * segment_size
-        hi_i = min(lo_i + segment_size, n_odd)
+        hi_i = min(lo_i + segment_size + 1, n_odd)
         row = pattern[lo_i % _PERIOD :][:_PERIOD]
         seg[: rows * _PERIOD].reshape(rows, _PERIOD)[:] = row
         seg[rows * _PERIOD :] = row[:tail]
@@ -222,8 +227,9 @@ class PrimeSieve:
 
     Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3 of a store of
     little-endian uint64 words, zero-padded to whole blocks of _BLOCK words:
-    the windows of _windows, copied end to end.  Bit i is a twin bit, the
-    lower member of a twin pair, iff bits i and i + 1 are both set.
+    the first SEGMENT_SIZE bits of each window of _windows, end to end.  Bit
+    i is a twin bit, the lower member of a twin pair, iff bits i and i + 1
+    are both set.
     Cumulative counts of primes and of twin bits, one int64 each per block,
     are the only other arrays.  Instances are safe for concurrent reads.
     """
@@ -297,7 +303,7 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld).
     base = root + 1 + 128 * math.ceil(1.25506 * root / math.log(max(root, 2)))
-    words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a window, whole blocks
+    words = _BLOCK * (SEGMENT_SIZE // (64 * _BLOCK) + 1)  # a window and a bit
     window = 72 * words + 2 * _PERIOD          # bool window, pattern, packed
     workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
     # Each thread's stack and malloc arena pages and the pool's objects,
@@ -321,21 +327,16 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     return base + workers * window + pool + 8 * held + block_counts(held)
 
 
-def build_sieve(
-    limit: int,
-    *,
-    threads: int = 1,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> PrimeSieve:
+def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     """Build an immutable PrimeSieve for [2, limit].
 
-    The windows of _windows are copied into the store; threads > 1 sieves
-    runs of them concurrently with bit-identical results, on at most one
-    thread per window and per CPU.
+    The first SEGMENT_SIZE bits of each window of _windows are copied into
+    the store; threads > 1 sieves runs of them concurrently with
+    bit-identical results, on at most one thread per window and per CPU.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
-    _admit(_estimate_bytes(limit, threads), memory_budget)
+    _admit(_estimate_bytes(limit, threads), DEFAULT_MEMORY_BUDGET)
     import numpy as np
     n_odd = (limit - 1) // 2
     odd_base = small_primes(math.isqrt(limit))[1:]
@@ -394,25 +395,22 @@ def _count_pass(xs: list[int], threads: int) -> dict:
 
     def count_run(ks: range):
         # Primes and twin bits in a run of windows, each key's from the
-        # run's start, and the run's first and last bit: a twin pair may
-        # straddle two windows, in a run or across two.  A key past the last
-        # window is answered in the last.
-        total, first, last, below = [0, 0], 0, 0, {}
+        # run's start.  A window's twin bits below SEGMENT_SIZE read the bit
+        # past it, so its totals are its own.  A key past the last window is
+        # answered in the last.
+        total, below = [0, 0], {}
         for k, w in _windows(limit, odd_base, ks):
-            total[1] += last & w.item(0)
             cums = _block_counts(w)
             hi = bisect_left(bits, (k + 1) * size) if k + 1 < n_windows else None
             for bit, twin in keys[bisect_left(bits, k * size) : hi]:
                 below[bit, twin] = total[twin] + _prefix_count(
                     w, cums[twin], bit - k * size, twin)
-            total = [n + cum.item(-1) for n, cum in zip(total, cums)]
-            if k == ks.start:
-                first = w.item(0) & 1
-            last = (w.item((size - 1) >> 6) >> ((size - 1) & 63)) & 1
+            total = [n + _prefix_count(w, cums[twin], size, twin)
+                     for twin, n in enumerate(total)]
             del cums  # before the next window is sieved
-        return total, first, last, below
+        return total, below
 
-    total, last, below = [0, 0], 0, {}
+    total, below = [0, 0], {}
     if n_windows == 1:
         # Primes are set flags and twin bits non-overlapping pairs of them; of
         # three odd numbers one is 0 mod 3, so only 3, 5, 7 needs (5, 7) added.
@@ -424,11 +422,9 @@ def _count_pass(xs: list[int], threads: int) -> dict:
             below[bit, twin] = total[twin]
     else:
         odd_base = small_primes(math.isqrt(limit))[1:]
-        for run_total, first, run_last, run_below in _fan_out(
-                count_run, threads, n_windows):
-            total[1] += last & first
+        for run_total, run_below in _fan_out(count_run, threads, n_windows):
             below.update((k, total[k[1]] + n) for k, n in run_below.items())
-            total, last = [a + b for a, b in zip(total, run_total)], run_last
+            total = [a + b for a, b in zip(total, run_total)]
     return {x: (1 + below[(x - 1) // 2, 0],
                 below[(x - 5) // 2 + 1, 1] if x >= 5 else 0) for x in xs}
 

@@ -12,6 +12,7 @@ from twinprimes import (
     first_primes,
     phi_mobius,
     phi_recursive,
+    small_primes,
 )
 
 import oracles
@@ -24,6 +25,12 @@ def test_first_primes_prefixes():
     assert first_primes(25)[-1] == 97
     ps = first_primes(100)
     assert list(ps) == sorted(ps) and len(set(ps)) == 100
+    # One sieve to its bound holds the first r primes, for every r; a bound
+    # below p_r would return fewer.  p_2000 = 17389.
+    primes = tuple(small_primes(17389))
+    assert len(primes) == 2000
+    for r in range(2001):
+        assert first_primes(r) == primes[:r], r
 
 
 def test_first_primes_keeps_one_result():

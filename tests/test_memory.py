@@ -125,8 +125,7 @@ print(json.dumps({
     "peak": peak,
     "pass": [counts.count_primes_upto(10**6), counts.count_twins_upto(10**6)],
     "small": len(sieve.small_primes(10**6)),
-    "store": sieve.build_sieve(10**6, memory_budget=peak).count_twins_upto(
-        10**6),
+    "store": sieve.build_sieve(10**6).count_twins_upto(10**6),
 }))
 """
 

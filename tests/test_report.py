@@ -23,11 +23,14 @@ from twinprimes.report import (
     render_json,
     render_table,
     run_invariant_suite,
-    table1_rows,
-    table2_rows,
-    table3_rows,
+    table_points,
     table_rows,
 )
+
+
+def _rows(table_id, counts, cfg):
+    """A table's rows at the points cfg gives it."""
+    return table_rows(table_id, counts, table_points(table_id, cfg), cfg.h_c)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +121,7 @@ class TestAuditKnownCells:
 class TestRendering:
     def test_csv_first_rows(self, sieve_1e6):
         cfg = RunConfig()
-        text = render_csv(1, table1_rows(sieve_1e6, cfg))
+        text = render_csv(1, _rows(1, sieve_1e6, cfg))
         lines = text.split("\n")
         assert lines[0] == "x,pi_x,pi2_x,pi_pi_x,ratio"
         assert lines[1] == "25,9,4,4,1.000"
@@ -127,9 +130,9 @@ class TestRendering:
     def test_csv_dialect(self, sieve_1e6):
         cfg = RunConfig()
         for table_id, rows in [
-            (1, table1_rows(sieve_1e6, cfg)),
-            (2, table2_rows(sieve_1e6, cfg)),
-            (3, table3_rows(sieve_1e6, cfg)),
+            (1, _rows(1, sieve_1e6, cfg)),
+            (2, _rows(2, sieve_1e6, cfg)),
+            (3, _rows(3, sieve_1e6, cfg)),
         ]:
             text = render_csv(table_id, rows)
             assert "\r" not in text and text.endswith("\n")
@@ -147,14 +150,14 @@ class TestRendering:
         for threads in (1, 3):
             sieve = build_sieve(10**5, threads=threads)
             cfg = RunConfig(limit=10**5)
-            texts.append(render_csv(1, table1_rows(sieve, cfg)))
-            texts.append(render_json(3, table3_rows(sieve, cfg)))
+            texts.append(render_csv(1, _rows(1, sieve, cfg)))
+            texts.append(render_json(3, _rows(3, sieve, cfg)))
         assert texts[0] == texts[2]
         assert texts[1] == texts[3]
 
     def test_json_structure_full_precision(self, sieve_1e6):
         cfg = RunConfig()
-        doc = json.loads(render_json(3, table3_rows(sieve_1e6, cfg)))
+        doc = json.loads(render_json(3, _rows(3, sieve_1e6, cfg)))
         assert doc["table_id"] == 3
         row = doc["rows"][0]
         assert set(row) == {
@@ -165,7 +168,7 @@ class TestRendering:
         assert row["h"] == 50 * 6 / 15**2  # unrounded
 
     def test_text_format_is_aligned(self, sieve_1e6):
-        text = render_table(1, table1_rows(sieve_1e6, RunConfig()), "text")
+        text = render_table(1, _rows(1, sieve_1e6, RunConfig()), "text")
         lines = text.strip("\n").split("\n")
         assert len({len(line) for line in lines}) == 1
 
@@ -183,16 +186,16 @@ class TestCsvRoundTrip:
     def test_all_tables_round_trip_byte_identically(self, sieve_1e6):
         cfg = RunConfig()
         for table_id, rows in [
-            (1, table1_rows(sieve_1e6, cfg)),
-            (2, table2_rows(sieve_1e6, cfg)),
-            (3, table3_rows(sieve_1e6, cfg)),
+            (1, _rows(1, sieve_1e6, cfg)),
+            (2, _rows(2, sieve_1e6, cfg)),
+            (3, _rows(3, sieve_1e6, cfg)),
         ]:
             text = render_csv(table_id, rows)
             assert _reemit(table_id, text) == text
 
     def test_parsed_values_match_rendered_precision(self, sieve_1e6):
         cfg = RunConfig()
-        rows = table1_rows(sieve_1e6, cfg)
+        rows = _rows(1, sieve_1e6, cfg)
         parsed = parse_table_csv(1, render_csv(1, rows))
         for row, got in zip(rows, parsed):
             assert got[0] == row.x
@@ -210,7 +213,7 @@ class TestCsvRoundTrip:
     def test_ties_print_as_the_audit_rounds(self, sieve_1e4, table_id, x,
                                             column, printed, capsys):
         cfg = RunConfig(limit=10**4, checkpoints=(x,))
-        rows = table_rows(table_id, sieve_1e4, cfg)
+        rows = _rows(table_id, sieve_1e4, cfg)
         header, line = render_csv(table_id, rows).splitlines()
         assert line.split(",")[header.split(",").index(column)] == printed
         assert f" {printed}" in render_table(table_id, rows, "text")
@@ -237,9 +240,9 @@ class TestCsvRoundTrip:
     def test_round_trip_on_arbitrary_checkpoints(self, sieve_1e4, xs):
         cfg = RunConfig(limit=10**4, checkpoints=tuple(xs))
         for table_id, rows in [
-            (1, table1_rows(sieve_1e4, cfg)),
-            (2, table2_rows(sieve_1e4, cfg)),
-            (3, table3_rows(sieve_1e4, cfg)),
+            (1, _rows(1, sieve_1e4, cfg)),
+            (2, _rows(2, sieve_1e4, cfg)),
+            (3, _rows(3, sieve_1e4, cfg)),
         ]:
             text = render_csv(table_id, rows)
             assert _reemit(table_id, text) == text
@@ -259,8 +262,8 @@ class TestRunConfig:
 
     def test_default_checkpoints_clamp_to_limit(self):
         cfg = RunConfig(limit=10**4)
-        assert max(cfg.xs_for(1)) <= 10**4
-        assert max(cfg.xs_for(3)) <= 10**4
+        assert max(table_points(1, cfg)) <= 10**4
+        assert max(table_points(3, cfg)) <= 10**4
 
 
 @pytest.fixture(scope="module")

@@ -41,9 +41,10 @@ def test_limit_below_five_rejected(limit):
         build_sieve(limit)
 
 
-def test_memory_budget_refusal_reports_requirement():
+def test_memory_budget_refusal_reports_requirement(monkeypatch):
+    monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 1000)
     with pytest.raises(MemoryBudgetError) as err:
-        build_sieve(10**6, memory_budget=1000)
+        build_sieve(10**6)
     assert err.value.required_bytes > 1000
     assert "bytes" in str(err.value)
 
@@ -417,6 +418,31 @@ def test_count_pass_twin_pair_across_a_window_edge(threads, monkeypatch):
         assert pi_pi2(x, threads=threads)[1] == twins[x], x
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("segment_size", [64, 72])
+def test_count_pass_matches_the_oracles_at_every_window_edge(
+        trial_pi_1e4, trial_twin_1e4, segment_size, threads, monkeypatch):
+    # Window k starts at bit k * size, the odd number 2 * k * size + 3.  The
+    # x within four of that read the last flags of one window, the first of
+    # the next and the twin pair that may straddle them, as points of one
+    # pass to 10**4 on up to four runs.  A pass to the last odd number of a
+    # window fills its windows and answers its limit past the last.  No
+    # store checks them: it shares _windows with the pass.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    limit = 10**4
+    starts = range(2 * segment_size + 3, limit + 4, 2 * segment_size)
+    edges = [x for start in starts for x in range(start - 4, start + 4)
+             if x <= limit]
+    counts = count_at(limit, edges, threads=threads)
+    for x in edges:
+        assert (counts.count_primes_upto(x), counts.count_twins_upto(x)) == (
+            trial_pi_1e4[x], trial_twin_1e4[x]), x
+    for x in starts:
+        assert pi_pi2(x - 2, threads=threads) == (
+            trial_pi_1e4[x - 2], trial_twin_1e4[x - 2]), x
+
+
 def test_count_pass_budget_counts_only_what_it_holds():
     # The estimate alone decides; neither limit is counted here.  10**12
     # holds base primes to 10**6 and a window per thread, 10**18 base primes
@@ -456,13 +482,10 @@ def test_budget_counts_what_the_process_holds(monkeypatch):
     # refuses; the estimate alone would fit.
     held, limit = 10**8, 10**6
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: held)
-    need = held + _estimate_bytes(limit, 1)
-    with pytest.raises(MemoryBudgetError):
-        build_sieve(limit, memory_budget=need - 1)
-    build_sieve(limit, memory_budget=need)
     growth = 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
-    for run, need in ((pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
+    for run, need in ((build_sieve, held + _estimate_bytes(limit, 1)),
+                      (pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
                       (small_primes, held + growth)):
         monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(MemoryBudgetError):
@@ -483,16 +506,21 @@ def test_rss_is_what_the_process_holds_now():
 
 
 def _window_flags(limit):
-    """Every flag _windows yields for limit, window padding included."""
+    """The first SEGMENT_SIZE flags of every window _windows yields for
+    limit, end to end; each window's bit SEGMENT_SIZE is the next window's
+    bit 0 (0 past the last window), and every bit after it is 0."""
     odd_base = small_primes(math.isqrt(limit))[1:]
     segment_size = sieve_mod.SEGMENT_SIZE
     ks = range(-(-((limit - 1) // 2) // segment_size))
-    flags = []
+    flags, past = [], []
     for k, words in sieve_mod._windows(limit, odd_base, ks):
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        assert not bits[segment_size:].any(), k
+        assert not bits[segment_size + 1:].any(), k
         flags.append(bits[:segment_size])
-    return np.concatenate(flags).astype(bool)
+        past.append(bits[segment_size])
+    got = np.concatenate(flags).astype(bool)
+    assert past == [*got[segment_size::segment_size].tolist(), False]
+    return got
 
 
 def _plain_odd_flags(limit):
