@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -135,6 +136,16 @@ def twin_prime_constant(pmax: int) -> float:
     """2 * prod_{3 <= p <= pmax} (1 - 1/(p-1)**2), decreasing in pmax."""
     odd = _odd_primes(pmax)
     return 2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2 for p in odd)
+
+
+def twin_prime_constants(pmaxes: Sequence[int]) -> list[float]:
+    """twin_prime_constant at each of the increasing pmaxes, from one sieve:
+    the last one's, as cached, and each other's product over a prefix of
+    its primes, the same factors in the same order as its own."""
+    odd, last = _odd_primes(pmaxes[-1]), twin_prime_constant(pmaxes[-1])
+    return [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
+                            for p in odd[: bisect_right(odd, pmax)])
+            for pmax in pmaxes[:-1]] + [last]
 
 
 @lru_cache(maxsize=16)

@@ -457,7 +457,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
     # Coarser truncations, then the run's own (capped at 10**6).
     top = min(10**6, cfg.euler_pmax)
     ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
-    consts = [estimators.twin_prime_constant(p) for p in ladder]
+    consts = estimators.twin_prime_constants(ladder)
     ok = all(b < a for a, b in zip(consts, consts[1:]))
     add(InvariantCheck(
         "twin_constant_monotone", ok,

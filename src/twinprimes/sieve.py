@@ -1,25 +1,17 @@
-"""Segmented, odd-only sieve of Eratosthenes: a word store with O(1) prefix
-counting, and a pass that counts at given points in O(sqrt(x)) memory.
+"""Segmented sieve of Eratosthenes on a mod-6 wheel (Pritchard 1982): a
+word store with O(1) prefix counts, and a pass that counts at given points.
 
-One generator, _windows, sieves windows of SEGMENT_SIZE odd numbers in
-order, one bit per odd number (2 is special-cased) in little-endian 64-bit
-words, on one thread or several.  Each window starts as a copy of a tiled
-pattern with the odd multiples of 3, 5, 7, 11 and 13 already cleared
-(primesieve's pre-sieve, period 15,015 odd numbers), so only the larger
-base primes are written one by one, from first multiples computed for all
-of them at once.  build_sieve copies the windows into a store with one
-cumulative popcount of primes and one of twin bits per block of _BLOCK
-words (a rank directory in the sense of Jacobson 1989 and Vigna 2008): a
-count up to any x <= limit is one cumulative count plus the popcount of one
-masked span of at most a block, from which twin bits are derived.
-count_at reads the same windows up to its largest point and keeps no
-store, only the base primes, one window per thread and its answers: it
-answers each point inside a window, and totals the window, with the store's
-block counter, _block_counts, and query, _prefix_count, on that window
-alone; within one window it counts on _odd_flags without numpy.  Each
-window is sieved one odd number past its end, so a twin pair that straddles
-two windows is the first's, and the windows' totals add up.  A second pass
-gives pi(pi(x)).
+Past 3 every prime is 6j + 5 or 6j + 7, so two bit planes, A[j] for 6j + 5
+and B[j] for 6j + 7, give pi(x) = 2 + |A below (x + 1) // 6| + |B below
+(x - 1) // 6| (x >= 3) and, as every twin pair past (3, 5) is (6j + 5,
+6j + 7), pi2(x) = 1 + |A & B below (x - 1) // 6| (x >= 5).  _windows sieves
+SEGMENT_SIZE j-values of both planes at a time, on one thread or several,
+from a pre-sieve pattern of 5..13 (primesieve's; period 5,005 j-values) and
+a slice per plane for each larger base prime.  build_sieve keeps them, with
+popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
+Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
+the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or up to one
+window on bytearray planes without numpy.  A second pass gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -28,30 +20,28 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, cycle
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Odd candidates per sieve window, a multiple of 8; read by each build, so
-# tests may patch it.  Benchmarked 2**18..2**23 at limit 3.7e7: 2**20 (1 MiB
-# unpacked window, 128 KiB packed) came out fastest, with 2**19..2**21
-# within ~7% of each other.
+# j-values of each plane per window (6 * SEGMENT_SIZE numbers), a multiple
+# of 8; read by each build, so tests may patch it.  A 1 MiB bool window, as
+# odd-only windows of 2**19..2**21 measured within ~7% at limit 3.7e7.
 SEGMENT_SIZE = 1 << 20
 
 # Construction refuses to allocate more than this unless overridden.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
-# The pre-sieve primes; their pattern repeats every _PERIOD odd numbers.
-_PRESIEVE = (3, 5, 7, 11, 13)
+# The pre-sieve primes; their pattern repeats every _PERIOD j-values.
+_PRESIEVE = (5, 7, 11, 13)
 _PERIOD = math.prod(_PRESIEVE)
 
-# Words per cumulative count: one int64 per 512 bits of store.
-_BLOCK = 8
+_OFFSETS = (5, 7)  # plane i, A then B, holds the numbers 6j + _OFFSETS[i]
 
-# Words per slice of the block-count pass (512 KiB); a multiple of _BLOCK.
-_SHIFT_BLOCK = 1 << 16
+# Words per cumulative count: one int64 per 512 bits of a plane.
+_BLOCK = 8
 
 
 class SieveRangeError(ValueError):
@@ -89,14 +79,19 @@ def _admit(required: int, budget: int) -> None:
         raise MemoryBudgetError(required, held, budget)
 
 
-def _odd_flags(limit: int) -> bytearray:
-    """flags[i] == 1 iff 2i + 3 is prime, for the odd numbers in [3, limit]."""
-    flags = bytearray(b"\x01") * ((limit - 1) // 2)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[(p - 3) // 2]:
-            start = (p * p - 3) // 2
-            flags[start::p] = bytearray(len(range(start, len(flags), p)))
-    return flags
+def _plane_flags(limit: int) -> tuple[bytearray, bytearray]:
+    """(A, B): A[j] == 1 iff 6j + 5 is prime, B[j] == 1 iff 6j + 7 is, for
+    the j whose number is <= limit."""
+    planes = (bytearray(b"\x01") * ((limit + 1) // 6),
+              bytearray(b"\x01") * ((limit - 1) // 6))
+    for p in range(5, math.isqrt(limit) + 1, 2):
+        if p % 3 and planes[p % 6 == 1][(p - 5) // 6]:
+            square = (p * p - 7) // 6  # cleared from p * p on
+            for plane, c in zip(planes, _OFFSETS):
+                # p divides 6j + c iff j = -c / 6 mod p.
+                j = square + (-c * pow(6, -1, p) - square) % p
+                plane[j::p] = bytes(len(range(j, len(plane), p)))
+    return planes
 
 
 def small_primes(limit: int, *, held_bytes: int = 0) -> array:
@@ -109,59 +104,62 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> array:
     """
     if limit < 2:
         return array("q")
-    # Odd flags and a third more (bytearray zeros), small objects, 9 bytes
-    # per prime (8, growth), <= 1.25506 n / ln n primes (Rosser-Schoenfeld).
+    # The planes and their interleaved copy (a third of limit each), and 9
+    # bytes (8, growth) per prime, <= 1.25506 n / ln n (Rosser-Schoenfeld).
     required = held_bytes + 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
     _admit(required, DEFAULT_MEMORY_BUDGET)
-    return array("q", chain((2,), compress(range(3, limit + 1, 2),
-                                           _odd_flags(limit))))
+    a, b = _plane_flags(limit)
+    # 5, 7, 11, 13, ...: A[0], B[0], A[1], B[1], ...
+    flags = bytearray(len(a) + len(b))
+    flags[::2], flags[1::2] = a, b
+    del a, b
+    return array("q", chain((2, 3)[: limit - 1], compress(
+        accumulate(cycle((2, 4)), initial=5), flags)))
 
 
-def _windows(limit: int, odd_base: array, ks: range):
-    """Yield (k, words) for each window k in ks, in order, of SEGMENT_SIZE
-    odd numbers in [3, limit], given the odd primes up to sqrt(limit).
-    words is whole blocks of _BLOCK words; its bit j is store bit
-    k * SEGMENT_SIZE + j for j <= SEGMENT_SIZE, one past the window, so that
-    its last twin bit is whole; 0 past that and past limit."""
+def _windows(limit: int, primes: array, ks: range):
+    """Yield (k, [a, b]) for each window k in ks, in order, given the primes
+    up to sqrt(limit): bit i < SEGMENT_SIZE of words a (b) is A[j] (B[j]),
+    j = k * SEGMENT_SIZE + i, in whole blocks of _BLOCK words; 0 past both."""
     import numpy as np
-    segment_size = SEGMENT_SIZE
-    n_odd = (limit - 1) // 2
-    # One reused flag per odd number and one past, padded to whole blocks
-    # with False.
-    seg = np.empty(64 * _BLOCK * (segment_size // (64 * _BLOCK) + 1),
-                   dtype=bool)
+    size = SEGMENT_SIZE
+    # One reused flag per j, padded to whole blocks.
+    seg = np.empty(64 * _BLOCK * -(-size // (64 * _BLOCK)), dtype=bool)
     rows, tail = divmod(len(seg), _PERIOD)
-    # Two periods of flags for the odd numbers from 3, False at the odd
-    # multiples of the pre-sieve primes, so that a whole period can be read
-    # from any offset in the first.
-    pattern = np.ones(2 * _PERIOD, dtype=bool)
-    for p in _PRESIEVE:
-        pattern[(p - 3) // 2 :: p] = False
-    # Bit (p - 3) / 2 + m * p is an odd multiple of p, bit (p * p - 3) / 2
-    # the first that a window clears.
-    primes = np.asarray(odd_base[len(_PRESIEVE):], dtype=np.int64)
-    steps = primes.tolist()
-    residues, squares = (primes - 3) // 2, (primes * primes - 3) // 2
+    steps = primes[2 + len(_PRESIEVE):].tolist()  # past 13
+    p = np.array(steps, dtype=np.int64)
+    # No j below the j of p * p in B (6j + 5 < p * p in A) is cleared.
+    squares = (p * p - 7) // 6
+    # Per plane: its j-values up to limit; two periods of flags, False where
+    # a pre-sieve prime divides 6j + c, so a period can be read from any
+    # offset in the first; and the j, mod p, of each base prime's multiples.
+    planes = [((limit + 6 - c) // 6,
+               np.gcd(6 * np.arange(2 * _PERIOD) + c, _PERIOD) == 1,
+               np.array([-c * pow(6, -1, q) % q for q in steps], np.int64))
+              for c in _OFFSETS]
     for k in ks:
-        lo_i = k * segment_size
-        hi_i = min(lo_i + segment_size + 1, n_odd)
-        row = pattern[lo_i % _PERIOD :][:_PERIOD]
-        seg[: rows * _PERIOD].reshape(rows, _PERIOD)[:] = row
-        seg[rows * _PERIOD :] = row[:tail]
-        if k == 0:  # the pattern cleared the pre-sieve primes themselves
-            seg[[(p - 3) // 2 for p in _PRESIEVE]] = True
-        seg[hi_i - lo_i :] = False
-        # The first bit each prime clears in this window; primes whose
-        # square lies past it clear none.
-        n = int(np.searchsorted(squares, hi_i))
-        firsts = np.maximum((residues[:n] - lo_i) % primes[:n],
-                            squares[:n] - lo_i)
-        for start, p in zip(firsts.tolist(), steps):
-            seg[start::p] = False
-        # Bit j lands in bit j % 8 of byte j // 8, so in bit j % 64 of
-        # little-endian word j // 64, whatever the host's byte order.
-        yield k, np.packbits(seg, bitorder="little").view("<u8")
+        lo = k * size
+        words = []
+        for n_j, pattern, residues in planes:
+            hi = min(lo + size, n_j)
+            row = pattern[lo % _PERIOD :][:_PERIOD]
+            seg[: rows * _PERIOD].reshape(rows, _PERIOD)[:] = row
+            seg[rows * _PERIOD :] = row[:tail]
+            if k == 0:  # 5, 11 in A and 7, 13 in B: the pattern cleared them
+                seg[:2] = True
+            seg[hi - lo :] = False
+            # The first j each prime clears in this window, in its residue
+            # class; primes whose square lies past the window clear none.
+            n = int(np.searchsorted(squares, hi))
+            start = np.maximum(squares[:n], lo)
+            firsts = start - lo + (residues[:n] - start) % p[:n]
+            for first, step in zip(firsts.tolist(), steps):
+                seg[first::step] = False
+            # j lands in bit j % 8 of byte j // 8, so in bit j % 64 of
+            # little-endian word j // 64, whatever the host's byte order.
+            words.append(np.packbits(seg, bitorder="little").view("<u8"))
+        yield k, words
 
 
 def _worker_count(threads: int, n_windows: int) -> int:
@@ -184,63 +182,54 @@ def _fan_out(work, threads: int, n_windows: int) -> list:
         return list(pool.map(work, runs))  # re-raises
 
 
-def _prefix_count(words: np.ndarray, cum: np.ndarray, k: int,
-                  twin: bool = False) -> int:
-    """Set bits among bit indices [0, k) of a word store, k >= 0; with twin,
-    the bits i for which bits i and i + 1 are both set."""
+def _n_windows(limit: int) -> int:
+    """Windows of _windows that reach limit: at least one."""
+    return max(1, -(-((limit + 1) // 6) // SEGMENT_SIZE))
+
+
+def _prefix_count(cum: np.ndarray, k: int, *planes: np.ndarray) -> int:
+    """Set bits among bit indices [0, k), k >= 0, of the AND of the word
+    planes, whose set bits below each block are cum."""
     b, rem = divmod(k, 64 * _BLOCK)
-    # Block b's words up to the one holding bit k, which twin bit k - 1 reads.
-    span = int.from_bytes(words[_BLOCK * b : (k >> 6) + 1].tobytes(), "little")
-    if twin:
-        span &= span >> 1
+    span = -1
+    for words in planes:
+        span &= int.from_bytes(words[_BLOCK * b : (k >> 6) + 1].tobytes(),
+                               "little")
     return cum.item(b) + (span & ((1 << rem) - 1)).bit_count()
 
 
-def _block_counts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cum[b] = set bits, and twin bits, in words[:_BLOCK * b], for b in
-    [0, len(words) // _BLOCK]; len(words) is a multiple of _BLOCK.  Twin
-    bit i is set iff bits i and i + 1 are, and the bit past the end reads
-    as 0."""
+def _block_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cum[i, n] = set bits of a, of b and of a & b for i = 0, 1, 2, in
+    their first n blocks of _BLOCK words, for n in [0, len(a) // _BLOCK];
+    the planes hold whole blocks."""
     import numpy as np
-    prime_cum = np.zeros(len(words) // _BLOCK + 1, dtype=np.int64)
-    twin_cum = np.zeros_like(prime_cum)
-    twins = np.empty(min(len(words), _SHIFT_BLOCK), dtype=words.dtype)
-    shifted = np.empty_like(twins)
-    for lo in range(0, len(words), _SHIFT_BLOCK):
-        w = words[lo : lo + _SHIFT_BLOCK]
-        nxt = words[lo + 1 : lo + _SHIFT_BLOCK + 1]  # the word after each
-        t = np.right_shift(w, 1, out=twins[: len(w)])
-        t[: len(nxt)] |= np.left_shift(nxt, 63, out=shifted[: len(nxt)])
-        t &= w
-        blocks = slice(lo // _BLOCK + 1, (lo + len(w)) // _BLOCK + 1)
-        for cum, bits in ((prime_cum, w), (twin_cum, t)):
-            cum[blocks] = np.add.reduceat(np.bitwise_count(bits),
-                                          np.arange(0, len(bits), _BLOCK),
-                                          dtype=np.int64)
-    np.cumsum(prime_cum, out=prime_cum)
-    np.cumsum(twin_cum, out=twin_cum)
-    return prime_cum, twin_cum
+    starts = np.arange(0, len(a), _BLOCK)
+    cum = np.zeros((3, len(a) // _BLOCK + 1), dtype=np.int64)
+    for row, words in zip(cum, (a, b, a & b)):
+        # A block holds at most 64 * _BLOCK set bits: uint16 sums cast a
+        # quarter of the bytes that int64 sums would.
+        row[1:] = np.add.reduceat(np.bitwise_count(words), starts,
+                                  dtype=np.uint16)
+    return np.cumsum(cum, axis=1, out=cum)
 
 
 class PrimeSieve:
     """Immutable primality store over [2, limit].
 
-    Odd numbers in [3, limit] map to bit i <-> n = 2*i + 3 of a store of
+    Row i of the planes holds bit j <-> n = 6j + _OFFSETS[i] in
     little-endian uint64 words, zero-padded to whole blocks of _BLOCK words:
-    the first SEGMENT_SIZE bits of each window of _windows, end to end.  Bit
-    i is a twin bit, the lower member of a twin pair, iff bits i and i + 1
-    are both set.
-    Cumulative counts of primes and of twin bits, one int64 each per block,
-    are the only other arrays.  Instances are safe for concurrent reads.
+    the windows of _windows, end to end.  Bit j is set in both rows iff
+    (6j + 5, 6j + 7) is a twin pair.  The cumulative counts of each row and
+    of their AND, one int64 each per block, are the only other array.
+    Instances are safe for concurrent reads.
     """
 
-    __slots__ = ("limit", "_words", "_prime_cum", "_twin_cum")
+    __slots__ = ("limit", "_planes", "_cum")
 
-    def __init__(self, limit, words, prime_cum, twin_cum):
+    def __init__(self, limit, planes, cum):
         self.limit = limit
-        self._words = words
-        self._prime_cum = prime_cum
-        self._twin_cum = twin_cum
+        self._planes = planes
+        self._cum = cum
 
     def _check_range(self, n: int, what: str = "n") -> None:
         if not 2 <= n <= self.limit:
@@ -251,12 +240,10 @@ class PrimeSieve:
     def is_prime(self, n: int) -> bool:
         """Exact primality for 2 <= n <= limit; out of range raises."""
         self._check_range(n)
-        if n == 2:
-            return True
-        if n % 2 == 0:
-            return False
-        i = (n - 3) // 2
-        return bool((self._words.item(i >> 6) >> (i & 63)) & 1)
+        if n < 5 or n % 6 not in (1, 5):
+            return n in (2, 3)
+        j = (n - 5) // 6  # 6j + 5 in A, 6j + 7 in B
+        return bool(self._planes.item(int(n % 6 == 1), j >> 6) >> (j & 63) & 1)
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Strictly increasing array of all primes in [lo, hi]."""
@@ -265,47 +252,47 @@ class PrimeSieve:
         self._check_range(hi, "hi")
         if lo > hi:
             raise SieveRangeError(f"empty range bounds lo={lo} > hi={hi}")
-        head = np.array([2] if lo <= 2 else [], dtype=np.int64)
-        a = max(lo, 3) | 1  # the first odd number >= max(lo, 3)
-        b = hi if hi % 2 else hi - 1
-        if a > b:
-            return head
-        ia, ib = (a - 3) // 2, (b - 3) // 2
-        lo_byte, hi_byte = ia >> 3, (ib >> 3) + 1
-        store = self._words.view(np.uint8)
-        flags = np.unpackbits(store[lo_byte:hi_byte], bitorder="little")
-        window = flags[ia - 8 * lo_byte : ib - 8 * lo_byte + 1]
-        idx = np.flatnonzero(window).astype(np.int64, copy=False) + ia
-        return np.concatenate([head, 2 * idx + 3])
+        # The bytes of both planes that hold every 6j + 5 and 6j + 7 in
+        # [lo, hi], unpacked and interleaved: flag i is n = 3i + 5 - (i & 1).
+        lo_byte, hi_byte = max(lo - 7, 0) // 48, (hi + 1) // 48 + 1
+        flags = np.unpackbits(self._planes.view(np.uint8)[:, lo_byte:hi_byte],
+                              axis=1, bitorder="little").T.ravel()
+        idx = np.flatnonzero(flags).astype(np.int64, copy=False) + 16 * lo_byte
+        ns = np.concatenate([[2, 3], 3 * idx + 5 - (idx & 1)])
+        return ns[(ns >= lo) & (ns <= hi)]
 
     def count_primes_upto(self, x: int) -> int:
         """pi(x), exact, for 2 <= x <= limit."""
         self._check_range(x, "x")
-        return 1 + _prefix_count(self._words, self._prime_cum, (x - 1) // 2)
+        (a, b), cum = self._planes, self._cum
+        return (min(x - 1, 2) + _prefix_count(cum[0], (x + 1) // 6, a)
+                + _prefix_count(cum[1], (x - 1) // 6, b))
 
     def count_twins_upto(self, x: int) -> int:
         """Twin pairs (p, p+2) with p + 2 <= x, for 2 <= x <= limit."""
         self._check_range(x, "x")
-        if x < 5:
-            return 0
-        return _prefix_count(self._words, self._twin_cum, (x - 5) // 2 + 1, True)
+        return (x >= 5) + _prefix_count(self._cum[2], (x - 1) // 6,
+                                        *self._planes)
 
 
 def _estimate_bytes(limit: int, threads: int, store: bool = True,
                     points: int = 0) -> int:
     """Upper bound on the bytes a build allocates, every array counted at
     once; with store=False, on those of count_at at that many points."""
-    n_odd = (limit - 1) // 2
-    if not store and n_odd <= SEGMENT_SIZE:  # small_primes' flags, answers
-        return 2 * limit // 3 + 16384 + 1024 * points
+    n_j = (limit + 1) // 6
+    if not store and n_j <= SEGMENT_SIZE:
+        # Bytearray planes, three ints of a plane's bytes, the twin flags.
+        return limit + 16384 + 1024 * points
     import numpy  # noqa: F401  (imported here, so that the guard sees it held)
     root = math.isqrt(limit)
-    # Flags, then int64s and lists of ints, ~110 bytes per odd prime, of
-    # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld).
-    base = root + 1 + 128 * math.ceil(1.25506 * root / math.log(max(root, 2)))
-    words = _BLOCK * (SEGMENT_SIZE // (64 * _BLOCK) + 1)  # a window and a bit
-    window = 72 * words + 2 * _PERIOD          # bool window, pattern, packed
-    workers = _worker_count(threads, -(-n_odd // SEGMENT_SIZE))
+    # small_primes, then int64s and lists of ints, ~140 bytes per prime, of
+    # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld),
+    # and heap that malloc keeps (up to ~0.4 MiB measured in RSS at 10**7).
+    base = (root + 1 + 140 * math.ceil(1.25506 * root / math.log(max(root, 2)))
+            + 512 * 1024)
+    words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a plane's window
+    window = 80 * words + 4 * _PERIOD  # bools, patterns, packed planes
+    workers = _worker_count(threads, _n_windows(limit))
     # Each thread's stack and malloc arena pages and the pool's objects,
     # measured at 150-280 KiB a thread.
     pool = 0 if workers == 1 else 512 * 1024 * workers
@@ -313,46 +300,45 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
         import concurrent.futures  # noqa: F401
 
     def block_counts(n: int) -> int:
-        # _block_counts of n words: per slice, twin and shifted words, their
-        # popcounts, those as int64, the block starts and the block sums (27
-        # bytes a word), then an int64 per block and a total each, and small
-        # objects (~2 KB measured).
-        return (27 * min(n, _SHIFT_BLOCK) + 16384
-                + 2 * 8 * (n // _BLOCK + 1))
+        # _block_counts of planes of n words: the twin words, a popcount, a
+        # uint16 copy of it, the block sums and starts (~13 bytes a word),
+        # three int64s per block and a total each, small objects.
+        return 13 * n + 3 * 8 * (n // _BLOCK + 1) + 16384
 
     if not store:  # a window and its block counts per thread, the answers
         return (base + workers * (window + block_counts(words)) + pool
                 + 1024 * points)
-    held = _BLOCK * -(-n_odd // (64 * _BLOCK))  # <u8 words in whole blocks
-    return base + workers * window + pool + 8 * held + block_counts(held)
+    held = _BLOCK * -(-n_j // (64 * _BLOCK))  # <u8 words of a plane
+    return base + workers * window + pool + 2 * 8 * held + block_counts(held)
 
 
 def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     """Build an immutable PrimeSieve for [2, limit].
 
-    The first SEGMENT_SIZE bits of each window of _windows are copied into
-    the store; threads > 1 sieves runs of them concurrently with
-    bit-identical results, on at most one thread per window and per CPU.
+    The windows of _windows are copied into the store; threads > 1 sieves
+    runs of them concurrently with bit-identical results, on at most one
+    thread per window and per CPU.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
     _admit(_estimate_bytes(limit, threads), DEFAULT_MEMORY_BUDGET)
     import numpy as np
-    n_odd = (limit - 1) // 2
-    odd_base = small_primes(math.isqrt(limit))[1:]
-    # Bit i lives in bit i % 64 of word i // 64 and in bit i % 8 of byte
-    # i // 8 of the same buffer, whatever the host's byte order.
-    words = np.zeros(_BLOCK * -(-n_odd // (64 * _BLOCK)), dtype="<u8")
-    store = words.view(np.uint8)
+    primes = small_primes(math.isqrt(limit))
+    # Bit j of a row lives in bit j % 64 of word j // 64 and in bit j % 8 of
+    # byte j // 8 of the same buffer, whatever the host's byte order.
+    planes = np.zeros((2, _BLOCK * -(-((limit + 1) // 6) // (64 * _BLOCK))),
+                      dtype="<u8")
+    store = planes.view(np.uint8)
     seg_bytes = SEGMENT_SIZE // 8
 
     def copy_windows(ks: range) -> None:
-        for k, window in _windows(limit, odd_base, ks):
-            out = store[k * seg_bytes : (k + 1) * seg_bytes]
-            out[:] = window.view(np.uint8)[: len(out)]
+        for k, window in _windows(limit, primes, ks):
+            out = store[:, k * seg_bytes : (k + 1) * seg_bytes]
+            for row, words in zip(out, window):
+                row[:] = words.view(np.uint8)[: len(row)]
 
-    _fan_out(copy_windows, threads, -(-n_odd // SEGMENT_SIZE))
-    return PrimeSieve(limit, words, *_block_counts(words))
+    _fan_out(copy_windows, threads, _n_windows(limit))
+    return PrimeSieve(limit, planes, _block_counts(*planes))
 
 
 class PointCounts(dict):
@@ -378,66 +364,65 @@ class PointCounts(dict):
 Counts = PrimeSieve | PointCounts
 
 
-def _count_pass(xs: list[int], threads: int) -> dict:
+def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
     """{x: (pi(x), pi2(x))} for sorted xs >= 2, counted from the windows of
-    _windows up to xs[-1] as they pass, or on _odd_flags in one window."""
+    _windows up to xs[-1] as they pass, or else on bytearray planes."""
     if not xs:
         return {}
     limit, size = xs[-1], SEGMENT_SIZE
-    n_windows = max(1, -(-((limit - 1) // 2) // size))
-    # (bit, 0) and (bit, 1): an x's primes, and its twin bits, are those of
-    # the store below bit.
-    keys = sorted({((x - 1) // 2, 0) for x in xs}
-                  | {((x - 5) // 2 + 1, 1) for x in xs if x >= 5})
-    bits = [bit for bit, _ in keys]
-    _admit(_estimate_bytes(limit, threads, False, len(xs)),
-           DEFAULT_MEMORY_BUDGET)
+    # (j, i): an x's primes in A, in B and its twin pairs past (3, 5) are
+    # the set bits below j of A, B and A & B for i = 0, 1, 2.
+    keys = sorted({k for x in xs for k in (((x + 1) // 6, 0),
+                                            ((x - 1) // 6, 1),
+                                            ((x - 1) // 6, 2))})
+    js = [j for j, _ in keys]
+    n_windows = _n_windows(limit)
 
     def count_run(ks: range):
-        # Primes and twin bits in a run of windows, each key's from the
-        # run's start.  A window's twin bits below SEGMENT_SIZE read the bit
-        # past it, so its totals are its own.  A key past the last window is
-        # answered in the last.
-        total, below = [0, 0], {}
-        for k, w in _windows(limit, odd_base, ks):
-            cums = _block_counts(w)
-            hi = bisect_left(bits, (k + 1) * size) if k + 1 < n_windows else None
-            for bit, twin in keys[bisect_left(bits, k * size) : hi]:
-                below[bit, twin] = total[twin] + _prefix_count(
-                    w, cums[twin], bit - k * size, twin)
-            total = [n + _prefix_count(w, cums[twin], size, twin)
-                     for twin, n in enumerate(total)]
-            del cums  # before the next window is sieved
+        # Set bits of each kind in a run of windows, each key's from the
+        # run's start.  A key past the last window is answered in the last.
+        total, below = [0] * 3, {}
+        for k, (a, b) in _windows(limit, primes, ks):
+            cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
+            hi = bisect_left(js, (k + 1) * size) if k + 1 < n_windows else None
+            for j, i in keys[bisect_left(js, k * size) : hi]:
+                below[j, i] = total[i] + _prefix_count(cum[i], j - k * size,
+                                                       *rows[i])
+            total = [n + m for n, m in zip(total, cum[:, -1].tolist())]
+            del cum, rows, a, b  # before the next window is sieved
         return total, below
 
-    total, below = [0, 0], {}
-    if n_windows == 1:
-        # Primes are set flags and twin bits non-overlapping pairs of them; of
-        # three odd numbers one is 0 mod 3, so only 3, 5, 7 needs (5, 7) added.
-        flags, start = _odd_flags(limit), [0, 0]
-        for bit, twin in keys:
-            a, start[twin] = start[twin], bit
-            total[twin] += (flags.count(b"\x01" * (1 + twin), a, bit + twin)
-                            + (twin and a == 0 and bit > 1))
-            below[bit, twin] = total[twin]
-    else:
-        odd_base = small_primes(math.isqrt(limit))[1:]
+    total, below = [0] * 3, {}
+    if windowed:
+        primes = small_primes(math.isqrt(limit))
         for run_total, run_below in _fan_out(count_run, threads, n_windows):
             below.update((k, total[k[1]] + n) for k, n in run_below.items())
             total = [a + b for a, b in zip(total, run_total)]
-    return {x: (1 + below[(x - 1) // 2, 0],
-                below[(x - 5) // 2 + 1, 1] if x >= 5 else 0) for x in xs}
+    else:  # on bytearray planes, each key's count from the key before
+        a, b = _plane_flags(limit)
+        # A & B as integers, as each flag byte is 0 or 1.
+        twins = int.from_bytes(a, "little") & int.from_bytes(b, "little")
+        flags, start = (a, b, twins.to_bytes(len(b), "little")), [0] * 3
+        for j, i in keys:
+            total[i] += flags[i].count(1, start[i], j)
+            start[i], below[j, i] = j, total[i]
+    return {x: (min(x - 1, 2) + below[(x + 1) // 6, 0] + below[(x - 1) // 6, 1],
+                (x >= 5) + below[(x - 1) // 6, 2]) for x in xs}
 
 
 def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     """A store's pi and pi2 over [2, limit] at each x in xs, and its pi at
-    each pi(x), from two passes that keep no store: one as far as the
-    largest x, one over the distinct pi(x).  Each holds the base primes, a
-    window per thread and its answers."""
+    each pi(x), from two passes that keep no store, one to the largest x and
+    one over the distinct pi(x), each holding the base primes, a window per
+    thread and its answers: both on numpy windows if the largest x lies past
+    the first window, else both on bytearray planes."""
     xs = sorted(set(xs))
     if xs and not 2 <= xs[0] <= xs[-1] <= limit:
         raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
     _worker_count(threads, 1)  # refuses a bad count even with no points
-    counts = _count_pass(xs, threads)
+    top = xs[-1] if xs else 2
+    _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
+    windowed = _n_windows(top) > 1
+    counts = _count_pass(xs, threads, windowed)
     pis = sorted({pi for pi, _ in counts.values() if pi >= 2})
-    return PointCounts(limit, {**_count_pass(pis, threads), **counts})
+    return PointCounts(limit, {**_count_pass(pis, threads, windowed), **counts})

@@ -32,7 +32,7 @@ limit, threads = int(sys.argv[1]), int(sys.argv[2])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 s = sieve.build_sieve(limit, threads=threads)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-held = sum(a.nbytes for a in (s._words, s._prime_cum, s._twin_cum))
+held = s._planes.nbytes + s._cum.nbytes
 print(json.dumps({
     "delta": 1024 * (after - before), "peak": 1024 * after, "held": held,
     "pi": s.count_primes_upto(limit), "pi2": s.count_twins_upto(limit),
@@ -63,7 +63,8 @@ def test_1e9_builds_inside_the_default_budget():
     got = _measure(10**9, 1)
     assert (got["pi"], got["pi2"]) == (50_847_534, 3_424_506)
     assert got["peak"] < sieve_mod.DEFAULT_MEMORY_BUDGET
-    # 62.5 MB of words and 15.6 MB of block counts; 106 MiB measured.
+    # 41.7 MB of words in two planes, 7.8 MB of block counts and ~32 MB of
+    # temporaries while counting them; 106.6 MiB measured.
     assert got["peak"] < 128 * 1024 * 1024
 
 
@@ -144,7 +145,7 @@ def test_an_inherited_peak_is_not_counted():
 
 # Counts in one window, then in two, under a budget of what the process held
 # before numpy was imported plus the two-window estimate and 4 MiB; numpy
-# takes ~12.5 MiB of RSS.
+# takes ~12.5 MiB of RSS.  One window reaches 6 * 2**20 + 4.
 _NUMPY_HELD = """
 import json, sys
 from twinprimes import sieve
@@ -154,7 +155,7 @@ sieve.DEFAULT_MEMORY_BUDGET = held + estimate + 4 * 2**20
 one = sieve.count_at(10**6, [10**6]).count_twins_upto(10**6)
 loaded = "numpy" in sys.modules
 try:
-    sieve.count_at(3 * 10**6, [3 * 10**6])
+    sieve.count_at(10**7, [10**7])
 except sieve.MemoryBudgetError as err:
     print(json.dumps({"one": one, "loaded": loaded, "before": held,
                       "held": err.held_bytes}))
@@ -165,7 +166,7 @@ else:
 
 def test_a_multi_window_guard_counts_numpy_as_held():
     # Imported after the guard, numpy's RSS would pass the budget unseen.
-    estimate = sieve_mod._estimate_bytes(3 * 10**6, 1, False, 1)
+    estimate = sieve_mod._estimate_bytes(10**7, 1, False, 1)
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_HELD, str(estimate)],
         capture_output=True, text=True, timeout=120,

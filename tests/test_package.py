@@ -76,10 +76,12 @@ def test_a_sweep_subcommand_at_1e6_loads_no_dataclasses_or_inspect(case):
 
 
 def test_a_count_past_one_window_loads_numpy():
-    loaded = _loaded_after(
-        "from twinprimes import cli\n"
-        "assert cli.main(['sieve', '--limit', '3000000']) == 0")
-    assert "numpy" in loaded
+    # One window of 2**20 j-values per plane reaches 6 * 2**20 + 4.
+    for limit, numpy in ((6_291_460, False), (6_291_461, True)):
+        loaded = _loaded_after(
+            "from twinprimes import cli\n"
+            f"assert cli.main(['sieve', '--limit', '{limit}']) == 0")
+        assert ("numpy" in loaded) == numpy, limit
 
 
 def test_every_exported_name_resolves():

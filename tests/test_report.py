@@ -1,11 +1,17 @@
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinprimes import PrimeSieve, RunConfig, load_reference_tables
+from twinprimes import (
+    PrimeSieve,
+    RunConfig,
+    load_reference_tables,
+    small_primes,
+)
 from twinprimes.cli import main
 from twinprimes.report import (
     STATUS_FORMATTING,
@@ -310,6 +316,32 @@ class TestInvariantSuite:
         check = suite.check("twin_constant_monotone")
         assert check.passed
         assert check.detail.startswith("truncations [100, 1000, 5000] ->")
+
+    def test_the_suite_sieves_its_euler_primes_once(self, sieve_1e4,
+                                                    monkeypatch):
+        # The ladder and the estimates read one sieve of the top rung, and
+        # each rung's constant is the one its own sieve gives, bit for bit.
+        from twinprimes import estimators
+
+        calls = []
+
+        def counted(limit):
+            calls.append(limit)
+            return small_primes(limit)
+
+        estimators._odd_primes.cache_clear()
+        estimators.twin_prime_constant.cache_clear()
+        monkeypatch.setattr(estimators, "small_primes", counted)
+        suite = run_invariant_suite(
+            sieve_1e4, RunConfig(limit=10**4, euler_pmax=12_347))
+        assert calls == [12_347]
+        ladder = [100, 1000, 10**4, 12_347]
+        own = [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
+                               for p in small_primes(pmax)[1:])
+               for pmax in ladder]
+        assert estimators.twin_prime_constants(ladder) == own
+        assert suite.check("twin_constant_monotone").detail == (
+            f"truncations {ladder} -> {[f'{c:.9f}' for c in own]}")
 
     def test_suite_clamps_to_small_limits(self, sieve_1e4):
         suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))

@@ -107,7 +107,7 @@ def test_threaded_build_is_bit_identical(monkeypatch):
     serial = build_sieve(10**6, threads=1)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**15)
     threaded = build_sieve(10**6, threads=4)
-    for field in ("_words", "_prime_cum", "_twin_cum"):
+    for field in ("_planes", "_cum"):
         assert np.array_equal(getattr(serial, field), getattr(threaded, field))
 
 
@@ -139,7 +139,7 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     # The bound is not below what the call really holds at 10**6 (the next
     # test's ceiling), on top of what the process holds.
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 10**8)
-    held = (10**6 - 1) // 2 * 4 // 3 + 9 * 78_498
+    held = 2 * 10**6 // 3 + 9 * 78_498
     monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 10**8 + held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
@@ -147,22 +147,22 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
 
 
 def test_small_primes_holds_the_flags_and_one_index_array():
-    # A flag byte per odd number and a third more while the multiples of 3
-    # are cleared, and 8 bytes per prime for the array with a sixteenth for
-    # its growth; a copy of the primes would take 8 bytes more per prime.
+    # A flag byte per 6j + 5 and 6j + 7 in the planes and again in their
+    # interleaved copy, and 8 bytes per prime for the array with a sixteenth
+    # for its growth; a copy of the primes would take 8 bytes more per prime.
     tracemalloc.start()
     try:
         small_primes(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (10**6 - 1) // 2 * 4 // 3 + 9 * 78_498
+    assert peak <= 2 * 10**6 // 3 + 9 * 78_498
 
 
 def test_repeated_builds_are_deterministic():
     a = build_sieve(12345)
     b = build_sieve(12345)
-    assert np.array_equal(a._words, b._words)
+    assert np.array_equal(a._planes, b._planes)
 
 
 def test_concurrent_reads_agree_with_serial(sieve_1e5):
@@ -203,55 +203,70 @@ def _assert_counts_match_oracles(sieve, pi, pi2):
 
 
 @settings(max_examples=40, deadline=None)
-@given(limit=st.integers(5, 5000),
-       shift_block=st.sampled_from([_BLOCK, 2 * _BLOCK, sieve_mod._SHIFT_BLOCK]))
+@given(limit=st.integers(5, 5000), block=st.sampled_from([1, 2, _BLOCK]))
 def test_word_index_counts_match_oracles(trial_pi_1e4, trial_twin_1e4, limit,
-                                         shift_block):
-    # Limits up to 5000 cross four 512-bit blocks (1024 numbers each), and
-    # slices of one or two blocks cross them in the block-count pass too.
-    with mock.patch.object(sieve_mod, "_SHIFT_BLOCK", shift_block):
+                                         block):
+    # Limits up to 5000 cross a 512-bit block of each plane (3072 numbers),
+    # and blocks of one or two words cross many more.
+    with mock.patch.object(sieve_mod, "_BLOCK", block):
         sieve = build_sieve(limit)
-    _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
+        _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
 
 
-# Bit i stands for n = 2i + 3: bits 63, 64 and 65 are 129, 131 and 133.  At
-# 129 and 257 the odd count is 64 and 128, a whole number of words; 641 is a
-# whole number of words too and the lower member of the twin pair (641, 643).
-# Bits 511, 512 and 513 (the first 512-bit block edge) are 1025, 1027 and
-# 1029, bits 1023 and 1024 are 2049 and 2051; 1500 ends in word 12, which is
-# not a whole number of blocks.
+def _assert_no_bit_past_the_limit(sieve, pi, pi2):
+    """Every set bit counts at limit: none past the last number of a plane,
+    and no twin bit for a pair ending past limit."""
+    assert sieve._cum[0, -1] + sieve._cum[1, -1] + 2 == pi[sieve.limit]
+    assert sieve._cum[2, -1] + 1 == pi2[sieve.limit]
+
+
+# Bit j of a plane stands for 6j + 5 in A and 6j + 7 in B: bits 63, 64 and
+# 65 are 383, 389, 395 and 385, 391, 397, so at 388 each plane holds a whole
+# word; bits 511 and 512 (the first block edge) are 3071, 3077 and 3073,
+# 3079.  The limits up to 2051 end inside words 0 to 5, 1500 in word 3,
+# which is not a whole number of blocks, and 641 splits the pair (641, 643).
 @pytest.mark.parametrize("limit", [127, 129, 130, 131, 133, 135, 257, 258, 641,
-                                   643, 1025, 1027, 1029, 1500, 2049, 2051])
+                                   643, 1025, 1027, 1029, 1500, 2049, 2051,
+                                   383, 385, 388, 389, 391, 397, 3071, 3073,
+                                   3076, 3077, 3079])
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
 def test_word_boundaries(trial_pi_1e4, trial_twin_1e4, limit, segment_size,
                          monkeypatch):
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
     sieve = build_sieve(limit)
     _assert_counts_match_oracles(sieve, trial_pi_1e4, trial_twin_1e4)
-    # No bit is set past the last odd number, nor for a pair ending past
-    # limit: at 641 the last twin bit, for (641, 643), must be 0.
-    assert sieve._prime_cum[-1] + 1 == trial_pi_1e4[limit]
-    assert sieve._twin_cum[-1] == trial_twin_1e4[limit]
+    # At 641 the pair (641, 643) sits in bit 106 of both planes, and B's
+    # bit 106 lies past the limit, so its twin bit must be 0.
+    _assert_no_bit_past_the_limit(sieve, trial_pi_1e4, trial_twin_1e4)
 
 
 def test_twin_pair_across_a_block_edge(monkeypatch):
-    # (25601, 25603) is the first twin pair split by a 512-bit block edge:
-    # bits 12799 and 12800.  Slices of one block split it in the build too.
-    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", _BLOCK)
+    # (15359, 15361) is the first twin pair in the last bit of a 512-bit
+    # block, j = 2559, so block 5's cumulative count is the first to hold
+    # it.  Blocks of one word put it in the last bit of a word too.
     twins = oracles.twin_prefix_counts(25603)
-    sieve = build_sieve(25603)
-    assert sieve._twin_cum[25] == twins[25603] == twins[25602] + 1
-    for x in range(25000, 25604):
-        assert sieve.count_twins_upto(x) == twins[x], x
+    assert twins[15361] == twins[15360] + 1
+    for block in (1, _BLOCK):
+        monkeypatch.setattr("twinprimes.sieve._BLOCK", block)
+        sieve = build_sieve(25603)
+        edge = 2560 // (64 * block)
+        assert sieve._cum[2, edge] + 1 == twins[15361]
+        assert sieve._cum[2, edge - 1] + 1 == twins[15361 - 6 * 64 * block]
+        for x in range(15000, 25604):
+            assert sieve.count_twins_upto(x) == twins[x], x
 
 
 def test_answers_do_not_depend_on_the_shift_block(monkeypatch):
+    # The block counts and a query's span cut the planes into blocks of
+    # _BLOCK words; one word per block must answer alike.
     whole = build_sieve(5000)
-    monkeypatch.setattr("twinprimes.sieve._SHIFT_BLOCK", _BLOCK)
+    want = [(whole.count_primes_upto(x), whole.count_twins_upto(x))
+            for x in range(2, 5001)]
+    monkeypatch.setattr("twinprimes.sieve._BLOCK", 1)
     sliced = build_sieve(5000)
-    for x in range(2, 5001):
-        assert sliced.count_primes_upto(x) == whole.count_primes_upto(x), x
-        assert sliced.count_twins_upto(x) == whole.count_twins_upto(x), x
+    assert len(sliced._cum[0]) > len(whole._cum[0])
+    assert [(sliced.count_primes_upto(x), sliced.count_twins_upto(x))
+            for x in range(2, 5001)] == want
 
 
 # The count-only pass reads the windows that a build stores.  Windows of 64
@@ -315,11 +330,11 @@ def test_count_pass_with_more_workers_than_cores(store_3e5, monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_count_at_matches_the_store_at_its_points(store_3e5, limit, threads,
                                                   segment_size, seed):
-    # Random points, the x within three odd numbers of each window edge
-    # (bit i is 2i + 3) and 2..15, on up to three workers, each answering
-    # the points in its own run; and pi at each pi(x).
+    # Random points, the x within 6 of each window edge (bit j is 6j + 5
+    # and 6j + 7) and 2..15, on up to three workers, each answering the
+    # points in its own run; and pi at each pi(x).
     rng = np.random.default_rng(seed)
-    edges = [2 * i + 3 + d for i in range(0, limit // 2, segment_size)
+    edges = [6 * j + 5 + d for j in range(0, limit // 6 + 1, segment_size)
              for d in range(-6, 7)]
     xs = [x for x in [*rng.integers(2, limit, 200, endpoint=True).tolist(),
                       *edges, *range(2, 16), limit] if 2 <= x <= limit]
@@ -353,9 +368,9 @@ def test_count_at_answers_only_its_points():
 
 def test_one_window_pass_matches_trial_division(trial_pi_1e4,
                                                 trial_twin_1e4, monkeypatch):
-    # Below 300 every pass counts on the flags of one window, never on the
-    # windows of numpy.  A pass from 2 reads the run 3, 5, 7 at bits 0 to 2
-    # whole; a pass at every x splits it between spans.
+    # Below 300 every pass counts on the bytearray planes of one window,
+    # never on the windows of numpy.  A pass at one x reads each plane in
+    # one span; a pass at every x splits them between spans.
     def no_windows(*args):
         raise AssertionError("a one-window pass sieved windows")
 
@@ -375,9 +390,9 @@ def test_one_window_pass_matches_trial_division(trial_pi_1e4,
        seed=st.integers(0, 2**32 - 1))
 def test_one_and_two_window_passes_match_the_store(store_3e5, segment_size,
                                                    offset, threads, seed):
-    # A pass up to 2 * size + 2, whose (x - 1) // 2 is size, fits in one
-    # window; the next odd number needs a second.
-    limit = 2 * segment_size + 2 + offset
+    # A pass up to 6 * size + 4, whose (x + 1) // 6 is size, fits in one
+    # window; 6 * size + 5, the next in A, needs a second.
+    limit = 6 * segment_size + 4 + offset
     rng = np.random.default_rng(seed)
     xs = [*rng.integers(2, limit, 30, endpoint=True).tolist(), limit]
     with mock.patch.object(os, "cpu_count", lambda: 2), \
@@ -407,14 +422,15 @@ def test_count_pass_below_five(trial_pi_1e4, trial_twin_1e4, segment_size,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pass_twin_pair_across_a_window_edge(threads, monkeypatch):
-    # With 64 odd numbers per window, 641 is the last (bit 319) of window 4
-    # and 643 the first of window 5.  At 1283 there are 11 windows, and two
-    # workers take windows 0-4 and 5-10, so the pair also straddles two runs.
+    # With 64 j-values per window, (1151, 1153) is the pair in the last bit
+    # (j = 191) of window 2, and 1157, the next in A, the first of window 3.
+    # At 2303 there are 6 windows, and two workers take windows 0-2 and 3-5,
+    # so the pair is the last of a run too.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
-    twins = oracles.twin_prefix_counts(1283)
-    assert twins[643] == twins[642] + 1
-    for x in (642, 643, 1283):
+    twins = oracles.twin_prefix_counts(2303)
+    assert twins[1153] == twins[1152] + 1
+    for x in (1152, 1153, 1157, 2303):
         assert pi_pi2(x, threads=threads)[1] == twins[x], x
 
 
@@ -422,25 +438,72 @@ def test_count_pass_twin_pair_across_a_window_edge(threads, monkeypatch):
 @pytest.mark.parametrize("segment_size", [64, 72])
 def test_count_pass_matches_the_oracles_at_every_window_edge(
         trial_pi_1e4, trial_twin_1e4, segment_size, threads, monkeypatch):
-    # Window k starts at bit k * size, the odd number 2 * k * size + 3.  The
-    # x within four of that read the last flags of one window, the first of
-    # the next and the twin pair that may straddle them, as points of one
-    # pass to 10**4 on up to four runs.  A pass to the last odd number of a
-    # window fills its windows and answers its limit past the last.  No
-    # store checks them: it shares _windows with the pass.
+    # Window k starts at bit k * size, the numbers 6 * k * size + 5 and + 7.
+    # The x within six of that read the last flags of one window and the
+    # first of the next, as points of one pass to 10**4 on up to four runs.
+    # A pass to 6 * k * size + 4 fills its windows and answers its limit
+    # past the last.  No store checks them: it shares _windows with the
+    # pass.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
     limit = 10**4
-    starts = range(2 * segment_size + 3, limit + 4, 2 * segment_size)
-    edges = [x for start in starts for x in range(start - 4, start + 4)
+    starts = range(6 * segment_size + 5, limit + 7, 6 * segment_size)
+    edges = [x for start in starts for x in range(start - 6, start + 7)
              if x <= limit]
     counts = count_at(limit, edges, threads=threads)
     for x in edges:
         assert (counts.count_primes_upto(x), counts.count_twins_upto(x)) == (
             trial_pi_1e4[x], trial_twin_1e4[x]), x
     for x in starts:
-        assert pi_pi2(x - 2, threads=threads) == (
-            trial_pi_1e4[x - 2], trial_twin_1e4[x - 2]), x
+        assert pi_pi2(x - 1, threads=threads) == (
+            trial_pi_1e4[x - 1], trial_twin_1e4[x - 1]), x
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("segment_size", [8, 64, 72])
+def test_store_and_pass_match_the_oracles_at_window_and_block_edges(
+        trial_pi_1e4, trial_twin_1e4, segment_size, threads, monkeypatch):
+    # Every x within 6 of a window edge or a 512-bit block edge (bit j is
+    # 6j + 5 and 6j + 7), from a store and from a pass to 10**4.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    limit = 10**4
+    js = {*range(0, limit // 6 + 1, segment_size),
+          *range(0, limit // 6 + 1, 64 * _BLOCK)}
+    xs = sorted({x for j in js for x in range(6 * j - 1, 6 * j + 12)
+                 if 2 <= x <= limit})
+    sieve = build_sieve(limit, threads=threads)
+    counts = count_at(limit, xs, threads=threads)
+    for x in xs:
+        want = (trial_pi_1e4[x], trial_twin_1e4[x])
+        assert (sieve.count_primes_upto(x), sieve.count_twins_upto(x)) == want
+        assert (counts.count_primes_upto(x),
+                counts.count_twins_upto(x)) == want, x
+
+
+def test_a_multi_window_count_never_counts_on_bytearray_planes(
+        store_3e5, monkeypatch):
+    # Both passes of a count past one window use the windows, also the pass
+    # over pi(x), which would fit in one: 3 * 10**5 spans 7 windows of 8192
+    # j-values, and pi(3 * 10**5) = 25,997 lies in the first.  Bytearray
+    # planes sieve only the base primes, up to sqrt(3 * 10**5) = 547.
+    sieved = []
+
+    def plane_flags(limit):
+        sieved.append(limit)
+        return plane_flags.wrapped(limit)
+
+    plane_flags.wrapped = sieve_mod._plane_flags
+    monkeypatch.setattr(sieve_mod, "_plane_flags", plane_flags)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**13)
+    limit = 3 * 10**5
+    counts = count_at(limit, [10**4, limit])
+    assert sieved and max(sieved) <= 547
+    for x in (10**4, limit):
+        pi = store_3e5.count_primes_upto(x)
+        assert counts.count_primes_upto(x) == pi
+        assert counts.count_twins_upto(x) == store_3e5.count_twins_upto(x)
+        assert counts.count_primes_upto(pi) == store_3e5.count_primes_upto(pi)
 
 
 def test_count_pass_budget_counts_only_what_it_holds():
@@ -456,12 +519,12 @@ def test_count_pass_budget_counts_only_what_it_holds():
             < _estimate_bytes(10**12, 1) // 1000)
 
 
-@pytest.mark.parametrize("limit", [10**4, 3 * 10**6])
+@pytest.mark.parametrize("limit", [10**4, 3 * 10**6, 10**7])
 def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
-    # One window, and two: the second window's block counts must not sit
-    # beside the first's.  On two threads, at the limit alone and at 400
-    # points, the pool and the answers count too.  A first run imports what
-    # the pass loads on first use.
+    # One window, the largest of them, and two: the second window's block
+    # counts must not sit beside the first's.  On two threads, at the limit
+    # alone and at 400 points, the pool and the answers count too.  A first
+    # run imports what the pass loads on first use.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spread = np.linspace(2, limit, 400).astype(int).tolist()
     for threads in (1, 2):
@@ -506,37 +569,35 @@ def test_rss_is_what_the_process_holds_now():
 
 
 def _window_flags(limit):
-    """The first SEGMENT_SIZE flags of every window _windows yields for
-    limit, end to end; each window's bit SEGMENT_SIZE is the next window's
-    bit 0 (0 past the last window), and every bit after it is 0."""
-    odd_base = small_primes(math.isqrt(limit))[1:]
+    """The flags of both planes that _windows yields for limit, each plane's
+    windows end to end; every bit past SEGMENT_SIZE in a window is 0."""
+    primes = small_primes(math.isqrt(limit))
     segment_size = sieve_mod.SEGMENT_SIZE
-    ks = range(-(-((limit - 1) // 2) // segment_size))
-    flags, past = [], []
-    for k, words in sieve_mod._windows(limit, odd_base, ks):
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        assert not bits[segment_size + 1:].any(), k
-        flags.append(bits[:segment_size])
-        past.append(bits[segment_size])
-    got = np.concatenate(flags).astype(bool)
-    assert past == [*got[segment_size::segment_size].tolist(), False]
-    return got
+    ks = range(-(-((limit + 1) // 6) // segment_size))
+    planes = ([], [])
+    for k, words in sieve_mod._windows(limit, primes, ks):
+        for plane, w in zip(planes, words):
+            bits = np.unpackbits(w.view(np.uint8), bitorder="little")
+            assert not bits[segment_size:].any(), k
+            plane.append(bits[:segment_size])
+    return tuple(np.concatenate(p).astype(bool) for p in planes)
 
 
-def _plain_odd_flags(limit):
-    """Primality of 3, 5, 7, ... <= limit from an unsegmented bool sieve."""
+def _plain_plane_flags(limit):
+    """Primality of 5, 11, 17, ... and of 7, 13, 19, ... <= limit from an
+    unsegmented bool sieve."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return flags[3::2]
+    return flags[5::6], flags[7::6]
 
 
-# Windows of 64 and 72 odd numbers, fewer and more than the 15,015 of the
-# pre-sieve pattern, 8 of its periods (each window starts where the pattern
-# does), 64 of them (a window of whole periods) and the default 2**20.
-_PATTERN_EDGE_SIZES = [64, 72, 15_008, 15_024, 120_120, 960_960, 2**20]
+# Windows of 64 and 72 j-values, of 5,000 and 5,008, fewer and more than the
+# 5,005 of the pre-sieve pattern, 8 of its periods (each window starts where
+# the pattern does), 64 of them and the default 2**20.
+_PATTERN_EDGE_SIZES = [64, 72, 5_000, 5_008, 40_040, 320_320, 2**20]
 
 
 @settings(max_examples=60, deadline=None)
@@ -545,26 +606,25 @@ _PATTERN_EDGE_SIZES = [64, 72, 15_008, 15_024, 120_120, 960_960, 2**20]
 def test_window_flags_match_a_plain_sieve(limit, segment_size):
     with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment_size):
         got = _window_flags(limit)
-    want = _plain_odd_flags(limit)
-    assert np.array_equal(got[: len(want)], want)
-    assert not got[len(want):].any()
-    if limit <= 10**4:
-        odd = range(3, limit + 1, 2)
-        assert got[: len(want)].tolist() == [oracles.is_prime_trial(n)
-                                             for n in odd]
+    for plane, want, c in zip(got, _plain_plane_flags(limit), (5, 7)):
+        assert np.array_equal(plane[: len(want)], want)
+        assert not plane[len(want):].any()
+        if limit <= 10**4:
+            assert plane[: len(want)].tolist() == [
+                oracles.is_prime_trial(n) for n in range(c, limit + 1, 6)]
 
 
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
 def test_window_flags_below_the_first_base_prime_past_13(segment_size,
                                                          monkeypatch):
     # Below 17**2 every base prime is a pre-sieve prime, so the pattern and
-    # window 0's restored 3..13 alone decide every flag.
+    # window 0's restored 5..13 alone decide every flag.
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
     for limit in range(5, 201):
-        got = _window_flags(limit)
-        odd = range(3, limit + 1, 2)
-        assert got[: len(odd)].tolist() == [oracles.is_prime_trial(n)
-                                            for n in odd], limit
-        assert not got[len(odd):].any(), limit
-    got = _window_flags(200)
-    assert all(got[(p - 3) // 2] for p in sieve_mod._PRESIEVE)
+        for plane, c in zip(_window_flags(limit), (5, 7)):
+            numbers = range(c, limit + 1, 6)
+            assert plane[: len(numbers)].tolist() == [
+                oracles.is_prime_trial(n) for n in numbers], limit
+            assert not plane[len(numbers):].any(), limit
+    a, b = _window_flags(200)
+    assert all((a, b)[p % 6 == 1][(p - 5) // 6] for p in sieve_mod._PRESIEVE)
