@@ -14,8 +14,7 @@ _EXPORTS = {
     "counting": ("CountCheckpoint", "checkpoint_rows", "composed_count",
                  "count_primes", "count_twin_pairs"),
     "estimators": ("BoundsRow", "EstimateRow", "SandwichCheck", "bounds_rows",
-                   "check_density_ratio_bound", "density_ratio",
-                   "estimate_rows", "hardy_littlewood_product",
+                   "density_ratio", "estimate_rows", "hardy_littlewood_product",
                    "hardy_littlewood_simple", "log_grid", "mean_density_ratio",
                    "round_half_away", "sandwich_bounds", "sandwich_check",
                    "trost_bounds", "twin_count_estimate",

@@ -184,23 +184,6 @@ def density_ratio(x: int, pi_x: int, pi2_x: int) -> float:
     return x * pi2_x / pi_x**2
 
 
-def check_density_ratio_bound(sieve: Counts, x: int) -> bool:
-    """True iff 0 < h < 5.12 at x (x >= 17, where pi(x) > x/ln(x) is known).
-
-    The pi(x) > x/ln(x) hypothesis behind the cap is verified against the
-    sieve rather than assumed.
-    """
-    if x < 17:
-        raise ValueError(f"x must be >= 17, got {x}")
-    pi_x = sieve.count_primes_upto(x)
-    if pi_x * math.log(x) <= x:
-        raise ArithmeticError(
-            f"pi({x}) = {pi_x} does not exceed x/ln(x); cap derivation invalid"
-        )
-    h = density_ratio(x, pi_x, sieve.count_twins_upto(x))
-    return 0 < h < H_RATIO_CAP
-
-
 def mean_density_ratio(rows: Iterable[EstimateRow]) -> float:
     """Arithmetic mean of the h column; the calibration value for h_c."""
     hs = [row.h for row in rows]

@@ -156,21 +156,6 @@ def render_table(table_id: int, rows: Sequence, fmt: str) -> str:
     return renderer(table_id, rows)
 
 
-def parse_table_csv(table_id: int, text: str) -> list[tuple]:
-    """Parse an emitted CSV back into typed row tuples (rendered precision)."""
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    columns = _columns(table_id)
-    expected = [name for name, _ in columns]
-    if header != expected:
-        raise ValueError(f"unexpected header {header!r}, want {expected!r}")
-    types = [int if rounding is None else float for _, rounding in columns]
-    return [
-        tuple(parse(cell) for parse, cell in zip(types, line.split(",")))
-        for line in lines[1:]
-    ]
-
-
 # ---------------------------------------------------------------------------
 # audit
 

@@ -27,8 +27,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # j-values of each plane per window (6 * SEGMENT_SIZE numbers), a multiple
-# of 8; read by each build, so tests may patch it.  A 1 MiB bool window, as
-# odd-only windows of 2**19..2**21 measured within ~7% at limit 3.7e7.
+# of 8; read by each build, so tests may patch it.  count_at at 10**8 and
+# 10**9 took 13-38% longer at 2**19 and 2**21 (2-vCPU x86_64, medians).
 SEGMENT_SIZE = 1 << 20
 
 # Construction refuses to allocate more than this unless overridden.
@@ -231,19 +231,11 @@ class PrimeSieve:
         self._planes = planes
         self._cum = cum
 
-    def _check_range(self, n: int, what: str = "n") -> None:
+    def _check_range(self, n: int, what: str) -> None:
         if not 2 <= n <= self.limit:
             raise SieveRangeError(
                 f"{what}={n} outside sieved range [2, {self.limit}]"
             )
-
-    def is_prime(self, n: int) -> bool:
-        """Exact primality for 2 <= n <= limit; out of range raises."""
-        self._check_range(n)
-        if n < 5 or n % 6 not in (1, 5):
-            return n in (2, 3)
-        j = (n - 5) // 6  # 6j + 5 in A, 6j + 7 in B
-        return bool(self._planes.item(int(n % 6 == 1), j >> 6) >> (j & 63) & 1)
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Strictly increasing array of all primes in [lo, hi]."""
@@ -283,21 +275,18 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     if not store and n_j <= SEGMENT_SIZE:
         # Bytearray planes, three ints of a plane's bytes, the twin flags.
         return limit + 16384 + 1024 * points
-    import numpy  # noqa: F401  (imported here, so that the guard sees it held)
     root = math.isqrt(limit)
     # small_primes, then int64s and lists of ints, ~140 bytes per prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld),
-    # and heap that malloc keeps (up to ~0.4 MiB measured in RSS at 10**7).
+    # and the RSS a first window leaves: malloc's heap, numpy's pages (~0.9 MB).
     base = (root + 1 + 140 * math.ceil(1.25506 * root / math.log(max(root, 2)))
-            + 512 * 1024)
+            + 1024 * 1024)
     words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a plane's window
     window = 80 * words + 4 * _PERIOD  # bools, patterns, packed planes
     workers = _worker_count(threads, _n_windows(limit))
     # Each thread's stack and malloc arena pages and the pool's objects,
     # measured at 150-280 KiB a thread.
     pool = 0 if workers == 1 else 512 * 1024 * workers
-    if workers > 1:  # imported here too
-        import concurrent.futures  # noqa: F401
 
     def block_counts(n: int) -> int:
         # _block_counts of planes of n words: the twin words, a popcount, a
@@ -309,7 +298,9 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
         return (base + workers * (window + block_counts(words)) + pool
                 + 1024 * points)
     held = _BLOCK * -(-n_j // (64 * _BLOCK))  # <u8 words of a plane
-    return base + workers * window + pool + 2 * 8 * held + block_counts(held)
+    # The planes, their directory and one window's slice of it at a time.
+    return (base + workers * window + pool + 2 * 8 * held
+            + 3 * 8 * (held // _BLOCK + 1) + block_counts(words))
 
 
 def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
@@ -321,8 +312,10 @@ def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
+    import numpy as np  # before the guard, which counts it as held
+    if _worker_count(threads, _n_windows(limit)) > 1:
+        import concurrent.futures  # noqa: F401  (the same)
     _admit(_estimate_bytes(limit, threads), DEFAULT_MEMORY_BUDGET)
-    import numpy as np
     primes = small_primes(math.isqrt(limit))
     # Bit j of a row lives in bit j % 64 of word j // 64 and in bit j % 8 of
     # byte j // 8 of the same buffer, whatever the host's byte order.
@@ -338,7 +331,14 @@ def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
                 row[:] = words.view(np.uint8)[: len(row)]
 
     _fan_out(copy_windows, threads, _n_windows(limit))
-    return PrimeSieve(limit, planes, _block_counts(*planes))
+    # The rank directory, a window's words at a time, each slice offset by
+    # the counts before it: its temporaries are a window's, not the store's.
+    cum = np.zeros((3, planes.shape[1] // _BLOCK + 1), dtype=np.int64)
+    step = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))
+    for lo in range(0, planes.shape[1], step):
+        part, b = _block_counts(*planes[:, lo : lo + step]), lo // _BLOCK
+        np.add(part, cum[:, b, None], out=cum[:, b : b + part.shape[1]])
+    return PrimeSieve(limit, planes, cum)
 
 
 class PointCounts(dict):
@@ -419,10 +419,13 @@ def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     xs = sorted(set(xs))
     if xs and not 2 <= xs[0] <= xs[-1] <= limit:
         raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
-    _worker_count(threads, 1)  # refuses a bad count even with no points
     top = xs[-1] if xs else 2
-    _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
     windowed = _n_windows(top) > 1
+    if windowed:  # imported before the guard, which counts them as held
+        import numpy  # noqa: F401
+    if _worker_count(threads, _n_windows(top)) > 1:  # refuses threads < 1
+        import concurrent.futures  # noqa: F401  (the same)
+    _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
     counts = _count_pass(xs, threads, windowed)
     pis = sorted({pi for pi, _ in counts.values() if pi >= 2})
     return PointCounts(limit, {**_count_pass(pis, threads, windowed), **counts})

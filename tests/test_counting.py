@@ -92,12 +92,13 @@ def test_checkpoint_rows_validation(sieve_1e4):
 
 
 def test_counts_never_decrease_dense(sieve_1e6):
-    is_prime = np.zeros(10**6 + 1, dtype=np.int64)
-    is_prime[sieve_1e6.primes_between(2, 10**6)] = 1
-    prime_cum = np.cumsum(is_prime)  # prime_cum[x] = pi(x)
+    prime_flags = np.zeros(10**6 + 1, dtype=np.int64)
+    prime_flags[sieve_1e6.primes_between(2, 10**6)] = 1
+    prime_cum = np.cumsum(prime_flags)  # prime_cum[x] = pi(x)
     assert np.all(np.diff(prime_cum) >= 0)
     # twin_cum[x] counts the pairs (p, p + 2) with p + 2 <= x
-    twin_cum = np.cumsum(np.concatenate(([0, 0], is_prime[:-2] & is_prime[2:])))
+    twin_cum = np.cumsum(
+        np.concatenate(([0, 0], prime_flags[:-2] & prime_flags[2:])))
     assert np.all(np.diff(twin_cum) >= 0)
     # tie the dense arrays back to the public API at a few points
     for x in (5, 17, 1000, 54321, 10**6):

@@ -10,7 +10,6 @@ from twinprimes import (
     EstimateRow,
     RunConfig,
     bounds_rows,
-    check_density_ratio_bound,
     density_ratio,
     estimate_rows,
     hardy_littlewood_product,
@@ -211,13 +210,6 @@ class TestDensityRatio:
     def test_zero_pi_rejected(self):
         with pytest.raises(ValueError):
             density_ratio(100, 0, 0)
-
-    def test_cap_check(self, sieve_1e6):
-        assert check_density_ratio_bound(sieve_1e6, 10**6)
-        assert check_density_ratio_bound(sieve_1e6, 50)
-        assert check_density_ratio_bound(sieve_1e6, 17)
-        with pytest.raises(ValueError):
-            check_density_ratio_bound(sieve_1e6, 16)
 
     def test_cap_on_grid(self, sieve_1e6):
         for x in log_grid(5, 10**6, 200).tolist():

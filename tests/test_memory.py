@@ -63,9 +63,10 @@ def test_1e9_builds_inside_the_default_budget():
     got = _measure(10**9, 1)
     assert (got["pi"], got["pi2"]) == (50_847_534, 3_424_506)
     assert got["peak"] < sieve_mod.DEFAULT_MEMORY_BUDGET
-    # 41.7 MB of words in two planes, 7.8 MB of block counts and ~32 MB of
-    # temporaries while counting them; 106.6 MiB measured.
-    assert got["peak"] < 128 * 1024 * 1024
+    # 41.7 MB of words in two planes and 7.8 MB of block counts, which are
+    # counted a window's words at a time, so their temporaries are a
+    # window's (~0.3 MB), not the store's (~32 MB); 75.9 MiB measured.
+    assert got["peak"] < 88 * 1024 * 1024
 
 
 _SIEVE_CLI = """
@@ -94,14 +95,14 @@ def test_sieve_1e9_counts_without_a_store():
     # pi_pi as a store built at 50,847,534 counts it.
     assert lines == ["limit=1000000000", "pi=50847534", "pi2=3424506",
                      "pi_pi=3048955"]
-    # A store at 10**9 peaks at ~107 MiB; the count-only passes at ~32 MiB,
+    # A store at 10**9 peaks at ~76 MiB; the count-only passes at ~32 MiB,
     # about what the interpreter and numpy take on their own.
     assert peak < 48 * 1024 * 1024
 
 
 def test_check_sieves_only_to_its_last_point():
     # No point of the suite or the audit lies past 10**6, so `check` never
-    # sieves to 10**9; a store at 10**9 would peak at ~108 MiB.
+    # sieves to 10**9; a store at 10**9 would peak at ~76 MiB.
     code, lines, peak = _cli_peak("check", "--limit", str(10**9))
     assert code == 2  # estimator_accuracy fails by design (C4b)
     assert lines[-1].startswith("reference audit:")

@@ -1,10 +1,7 @@
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twinprimes import (
     PrimeSieve,
@@ -18,9 +15,7 @@ from twinprimes.report import (
     STATUS_MATCH,
     STATUS_MISMATCH,
     _classify,
-    _round_places,
     audit_against_reference,
-    parse_table_csv,
     reference_checkpoints,
     render_audit_json,
     render_audit_text,
@@ -179,35 +174,7 @@ class TestRendering:
         assert len({len(line) for line in lines}) == 1
 
 
-def _reemit(table_id, text):
-    names = text.split("\n", 1)[0].split(",")
-    rows = [
-        SimpleNamespace(**dict(zip(names, parsed)))
-        for parsed in parse_table_csv(table_id, text)
-    ]
-    return render_csv(table_id, rows)
-
-
 class TestCsvRoundTrip:
-    def test_all_tables_round_trip_byte_identically(self, sieve_1e6):
-        cfg = RunConfig()
-        for table_id, rows in [
-            (1, _rows(1, sieve_1e6, cfg)),
-            (2, _rows(2, sieve_1e6, cfg)),
-            (3, _rows(3, sieve_1e6, cfg)),
-        ]:
-            text = render_csv(table_id, rows)
-            assert _reemit(table_id, text) == text
-
-    def test_parsed_values_match_rendered_precision(self, sieve_1e6):
-        cfg = RunConfig()
-        rows = _rows(1, sieve_1e6, cfg)
-        parsed = parse_table_csv(1, render_csv(1, rows))
-        for row, got in zip(rows, parsed):
-            assert got[0] == row.x
-            assert got[1] == row.pi_x and got[2] == row.pi2_x
-            assert got[4] == _round_places(row.ratio, 3)
-
     # Exact ties at the printed precision: 17/16 = 1.0625, 330/256 =
     # 1.2890625 and 1/32 = 0.03125.  Binary formatting rounds them to even;
     # the fixture's rule, which the audit applies, rounds them away from 0.
@@ -232,26 +199,6 @@ class TestCsvRoundTrip:
         if argv:
             assert main(argv) == 0
             assert f"{column}={printed}\n" in capsys.readouterr().out
-
-    def test_header_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            parse_table_csv(2, "x,nope\n1,2\n")
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        xs=st.lists(
-            st.integers(5, 10**4), min_size=1, max_size=12, unique=True
-        ).map(sorted)
-    )
-    def test_round_trip_on_arbitrary_checkpoints(self, sieve_1e4, xs):
-        cfg = RunConfig(limit=10**4, checkpoints=tuple(xs))
-        for table_id, rows in [
-            (1, _rows(1, sieve_1e4, cfg)),
-            (2, _rows(2, sieve_1e4, cfg)),
-            (3, _rows(3, sieve_1e4, cfg)),
-        ]:
-            text = render_csv(table_id, rows)
-            assert _reemit(table_id, text) == text
 
 
 class TestRunConfig:

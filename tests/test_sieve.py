@@ -31,8 +31,8 @@ def test_build_small_limit_finds_exactly_the_primes():
 
 def test_smallest_legal_limit():
     sieve = build_sieve(5)
-    assert not sieve.is_prime(4)
-    assert sieve.is_prime(5)
+    assert sieve.primes_between(4, 4).size == 0
+    assert sieve.primes_between(5, 5).tolist() == [5]
 
 
 @pytest.mark.parametrize("limit", [4, 1, 0, -7])
@@ -50,22 +50,16 @@ def test_memory_budget_refusal_reports_requirement(monkeypatch):
 
 
 def test_is_prime_matches_trial_division_exhaustively(sieve_1e5):
-    for n in range(2, 10**5 + 1):
-        assert sieve_1e5.is_prime(n) == oracles.is_prime_trial(n), n
+    # Every n up to 10**5 is listed iff trial division finds it prime.
+    assert sieve_1e5.primes_between(2, 10**5).tolist() == [
+        n for n in range(2, 10**5 + 1) if oracles.is_prime_trial(n)]
 
 
 @pytest.mark.parametrize(
     "n,expected", [(97, True), (2, True), (91, False), (100, False), (7919, True)]
 )
 def test_is_prime_spot_values(sieve_1e4, n, expected):
-    assert sieve_1e4.is_prime(n) is expected
-
-
-@pytest.mark.parametrize("n", [0, 1, 101])
-def test_is_prime_out_of_range_raises(n):
-    sieve = build_sieve(100)
-    with pytest.raises(SieveRangeError):
-        sieve.is_prime(n)
+    assert (sieve_1e4.primes_between(n, n).tolist() == [n]) is expected
 
 
 def test_primes_between_full_small_range():
@@ -95,7 +89,7 @@ def test_segment_size_is_invisible_to_queries(monkeypatch):
     rng = np.random.default_rng(20260809)
     probes = rng.integers(2, limit + 1, size=1000)
     for n in probes.tolist():
-        answers = {s.is_prime(n) for s in sieves}
+        answers = {s.primes_between(n, n).size for s in sieves}
         assert len(answers) == 1, n
     assert all(
         s.count_primes_upto(limit) == sieves[0].count_primes_upto(limit)
@@ -109,6 +103,29 @@ def test_threaded_build_is_bit_identical(monkeypatch):
     threaded = build_sieve(10**6, threads=4)
     for field in ("_planes", "_cum"):
         assert np.array_equal(getattr(serial, field), getattr(threaded, field))
+
+
+# build_sieve fills its directory a window's words at a time: 8 words (512
+# j-values, whose first numbers are 3072m + 5 and + 7) at windows up to 512
+# j-values, 2**14 words at 2**20.  Each set of limits ends just before, at
+# and just past a slice edge, and then past many.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("segment_size,limits", [
+    (8, (3076, 3077, 3079, 10**4, 3 * 10**5)),
+    (64, (3076, 3077, 3079, 10**4, 3 * 10**5)),
+    (72, (3076, 3077, 3079, 10**4, 3 * 10**5)),
+    (2**20, (6 * 2**20 + 4, 6 * 2**20 + 5, 6 * 2**20 + 7, 2 * 10**7)),
+])
+def test_directory_is_an_unsliced_popcount(segment_size, limits, threads,
+                                           monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    for limit in limits:
+        sieve = build_sieve(limit, threads=threads)
+        a, b = sieve._planes
+        for row, words in zip(sieve._cum, (a, b, a & b)):
+            blocks = np.bitwise_count(words).reshape(-1, _BLOCK).sum(axis=1)
+            assert row.tolist() == [0, *np.cumsum(blocks).tolist()], limit
 
 
 def test_worker_count_is_clamped_to_segments_and_cpus(monkeypatch):
@@ -170,9 +187,13 @@ def test_concurrent_reads_agree_with_serial(sieve_1e5):
 
     rng = np.random.default_rng(7)
     probes = rng.integers(2, 10**5 + 1, size=2000).tolist()
-    expected = [sieve_1e5.is_prime(n) for n in probes]
+
+    def is_listed(n):
+        return sieve_1e5.primes_between(n, n).size == 1
+
+    expected = [is_listed(n) for n in probes]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(sieve_1e5.is_prime, probes))
+        got = list(pool.map(is_listed, probes))
     assert got == expected
 
 
@@ -188,7 +209,10 @@ def test_primes_between_consistent_with_counts(sieve_1e4, lo, span):
     hi = min(lo + span, 10**4)
     ps = sieve_1e4.primes_between(lo, hi)
     assert list(ps) == sorted(set(ps.tolist()))
-    assert all(sieve_1e4.is_prime(int(p)) for p in ps)
+    # Each listed p is where pi steps up (pi(1) = 0).
+    assert all(sieve_1e4.count_primes_upto(p) - (
+        sieve_1e4.count_primes_upto(p - 1) if p > 2 else 0) == 1
+        for p in ps.tolist())
     expected = sieve_1e4.count_primes_upto(hi) - (
         sieve_1e4.count_primes_upto(lo - 1) if lo > 2 else 0
     )
@@ -199,7 +223,8 @@ def _assert_counts_match_oracles(sieve, pi, pi2):
     for x in range(2, sieve.limit + 1):
         assert sieve.count_primes_upto(x) == pi[x], x
         assert sieve.count_twins_upto(x) == pi2[x], x
-        assert sieve.is_prime(x) == (pi[x] > pi[x - 1]), x
+    assert sieve.primes_between(2, sieve.limit).tolist() == [
+        x for x in range(2, sieve.limit + 1) if pi[x] > pi[x - 1]]
 
 
 @settings(max_examples=40, deadline=None)
