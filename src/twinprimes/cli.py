@@ -71,7 +71,8 @@ _FLAGS = {
     "--limit": dict(type=int, default=_DEFAULTS["limit"],
                     help="bound on the points read (default %(default)s)"),
     "--threads": dict(type=int, default=_DEFAULTS["threads"],
-                      help="counting threads; never changes results"),
+                      help="counting workers (forked processes); "
+                      "never changes results"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),
@@ -330,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     # stdout is still flushed, and every file written is closed already.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
+    # No handler calls BLAS: numpy starts no thread, so workers fork cleanly.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -5,8 +5,8 @@ Past 3 every prime is 6j + 5 or 6j + 7, so two bit planes, A[j] for 6j + 5
 and B[j] for 6j + 7, give pi(x) = 2 + |A below (x + 1) // 6| + |B below
 (x - 1) // 6| (x >= 3) and, as every twin pair past (3, 5) is (6j + 5,
 6j + 7), pi2(x) = 1 + |A & B below (x - 1) // 6| (x >= 5).  _windows sieves
-SEGMENT_SIZE j-values of both planes at a time, on one thread or several,
-from a pre-sieve pattern of 5..13 (primesieve's; period 5,005 j-values) and
+SEGMENT_SIZE j-values of both planes at a time, runs of windows in forked
+workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
 a slice per plane for each larger base prime.  build_sieve keeps them, with
 popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
 Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
@@ -163,23 +163,60 @@ def _windows(limit: int, primes: array, ks: range):
 
 
 def _worker_count(threads: int, n_windows: int) -> int:
-    """Threads a pass really starts: never more than windows or CPUs."""
+    """Workers a pass really starts: never more than windows or CPUs, and
+    one where os.fork is missing."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return max(1, min(threads, n_windows, os.cpu_count() or 1))
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    return max(1, min(threads, n_windows, cpus))
 
 
 def _fan_out(work, threads: int, n_windows: int) -> list:
     """[work(ks) for each worker's run ks of windows], the runs contiguous,
-    non-empty and in order: one task, and one window, per worker."""
+    non-empty and in order.  The caller runs the first; a forked child runs
+    each other one, pickles back its result or exception and stops at its
+    next window if orphaned.  Children are reaped, killed first if the caller's
+    run failed; one that ends without a result raises ChildProcessError."""
+    import pickle
     workers = _worker_count(threads, n_windows)
     runs = [range(i * n_windows // workers, (i + 1) * n_windows // workers)
             for i in range(workers)]
-    if workers == 1:
-        return [work(runs[0])]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, runs))  # re-raises
+    parent, children, outs = os.getpid(), [], None
+    try:
+        for ks in runs[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # leaves only through os._exit
+                try:
+                    try:
+                        out = work(k for k in ks if os.getppid() == parent
+                                   or os._exit(1))
+                    except BaseException as exc:
+                        out = exc
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)  # every write end is the child's: EOF at its end
+            children.append((pid, open(read, "rb")))
+        first = work(runs[0])
+        outs = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if outs is None:
+                os.kill(pid, 9)  # SIGKILL
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    results = [first]
+    for (pid, _), out, status in zip(children, outs, statuses):
+        if not out:  # a negative exit status is the signal that ended it
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"worker {pid} ended without a result "
+                                    f"(exit status {code})")
+        results.append(pickle.loads(out))  # a result is never an exception
+        if isinstance(results[-1], BaseException):
+            raise results[-1]
+    return results
 
 
 def _n_windows(limit: int) -> int:
@@ -271,7 +308,7 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
                     points: int = 0) -> int:
     """Upper bound on the bytes a build allocates, every array counted at
     once; with store=False, on those of count_at at that many points."""
-    n_j = (limit + 1) // 6
+    n_j, workers = (limit + 1) // 6, _worker_count(threads, _n_windows(limit))
     if not store and n_j <= SEGMENT_SIZE:
         # Bytearray planes, three ints of a plane's bytes, the twin flags.
         return limit + 16384 + 1024 * points
@@ -279,14 +316,13 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     # small_primes, then int64s and lists of ints, ~140 bytes per prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld),
     # and the RSS a first window leaves: malloc's heap, numpy's pages (~0.9 MB).
-    base = (root + 1 + 140 * math.ceil(1.25506 * root / math.log(max(root, 2)))
-            + 1024 * 1024)
+    primes = 140 * math.ceil(1.25506 * root / math.log(max(root, 2)))
+    base = root + 1 + primes + 1024 * 1024
     words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a plane's window
     window = 80 * words + 4 * _PERIOD  # bools, patterns, packed planes
-    workers = _worker_count(threads, _n_windows(limit))
-    # Each thread's stack and malloc arena pages and the pool's objects,
-    # measured at 150-280 KiB a thread.
-    pool = 0 if workers == 1 else 512 * 1024 * workers
+    # Each forked worker's base-prime arrays, and the heap, interpreter and
+    # numpy pages it copies or faults in (VmHWM: 2.4-2.6 MB past a window).
+    forks = (workers - 1) * (primes + 3 * 1024 * 1024)
 
     def block_counts(n: int) -> int:
         # _block_counts of planes of n words: the twin words, a popcount, a
@@ -294,33 +330,35 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
         # three int64s per block and a total each, small objects.
         return 13 * n + 3 * 8 * (n // _BLOCK + 1) + 16384
 
-    if not store:  # a window and its block counts per thread, the answers
-        return (base + workers * (window + block_counts(words)) + pool
+    if not store:  # a window and its block counts per worker, the answers
+        return (base + forks + workers * (window + block_counts(words))
                 + 1024 * points)
     held = _BLOCK * -(-n_j // (64 * _BLOCK))  # <u8 words of a plane
-    # The planes, their directory and one window's slice of it at a time.
-    return (base + workers * window + pool + 2 * 8 * held
+    # The planes, whose pages a worker writes are in its RSS and again in
+    # the parent's, their directory and one window's slice of it at a time.
+    return (base + forks + workers * window
+            + 2 * 8 * held * (2 * workers - 1) // workers
             + 3 * 8 * (held // _BLOCK + 1) + block_counts(words))
 
 
 def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     """Build an immutable PrimeSieve for [2, limit].
 
-    The windows of _windows are copied into the store; threads > 1 sieves
-    runs of them concurrently with bit-identical results, on at most one
-    thread per window and per CPU.
+    The windows of _windows are copied into planes in a shared map, by
+    forked workers if threads > 1, bit-identically and at most one per
+    window and per CPU; the rank directory is counted in this process.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5, got {limit}")
-    import numpy as np  # before the guard, which counts it as held
-    if _worker_count(threads, _n_windows(limit)) > 1:
-        import concurrent.futures  # noqa: F401  (the same)
+    import mmap  # before the guard, which counts them as held
+    import numpy as np
     _admit(_estimate_bytes(limit, threads), DEFAULT_MEMORY_BUDGET)
     primes = small_primes(math.isqrt(limit))
     # Bit j of a row lives in bit j % 64 of word j // 64 and in bit j % 8 of
-    # byte j // 8 of the same buffer, whatever the host's byte order.
-    planes = np.zeros((2, _BLOCK * -(-((limit + 1) // 6) // (64 * _BLOCK))),
-                      dtype="<u8")
+    # byte j // 8 of the same buffer, whatever the host's byte order.  The
+    # zero-filled map is shared, so forked workers write their windows in it.
+    n_words = _BLOCK * -(-((limit + 1) // 6) // (64 * _BLOCK))
+    planes = np.frombuffer(mmap.mmap(-1, 16 * n_words), "<u8").reshape(2, -1)
     store = planes.view(np.uint8)
     seg_bytes = SEGMENT_SIZE // 8
 
@@ -414,17 +452,15 @@ def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     """A store's pi and pi2 over [2, limit] at each x in xs, and its pi at
     each pi(x), from two passes that keep no store, one to the largest x and
     one over the distinct pi(x), each holding the base primes, a window per
-    thread and its answers: both on numpy windows if the largest x lies past
+    worker and its answers: both on numpy windows if the largest x lies past
     the first window, else both on bytearray planes."""
     xs = sorted(set(xs))
     if xs and not 2 <= xs[0] <= xs[-1] <= limit:
         raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
     top = xs[-1] if xs else 2
     windowed = _n_windows(top) > 1
-    if windowed:  # imported before the guard, which counts them as held
+    if windowed:  # imported before the guard, which counts it as held
         import numpy  # noqa: F401
-    if _worker_count(threads, _n_windows(top)) > 1:  # refuses threads < 1
-        import concurrent.futures  # noqa: F401  (the same)
     _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
     counts = _count_pass(xs, threads, windowed)
     pis = sorted({pi for pi, _ in counts.values() if pi >= 2})

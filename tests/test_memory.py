@@ -6,9 +6,12 @@ Each measurement runs in a fresh interpreter that records its own
 ``ru_maxrss``.  Linux carries a process's peak RSS across fork and exec, so
 a child of the test process would start from the test process's peak; the
 measured child is therefore started by a small intermediate interpreter.
+A pass on two workers forks one of them; the memory it takes is the
+parent's growth plus each forked worker's own.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -22,12 +25,47 @@ pytestmark = pytest.mark.skipif(
 
 _LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
+# Installed in a measured interpreter: each forked worker sends the growth
+# of its VmHWM over its RSS at its first window, keyed by the pass's limit;
+# workers_growth() is the largest sum over the workers of one pass.  The
+# OpenBLAS line is cli.main's, so that numpy starts no thread before a fork.
+_WORKERS = """
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+from twinprimes import sieve
+_parent, _windows = os.getpid(), sieve._windows
+_read, _write = os.pipe()
+
+def _vm(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f
+                    if line.startswith(key))
+
+def _measured(limit, primes, ks):
+    if os.getpid() == _parent:
+        yield from _windows(limit, primes, ks)
+        return
+    start = _vm("VmRSS:")
+    yield from _windows(limit, primes, ks)
+    os.write(_write, f"{limit} {_vm('VmHWM:') - start}\\n".encode())
+
+sieve._windows = _measured
+
+def workers_growth():
+    os.close(_write)
+    passes = {}
+    with os.fdopen(_read) as f:
+        for line in f:
+            limit, grown = map(int, line.split())
+            passes[limit] = passes.get(limit, 0) + grown
+    return max(passes.values(), default=0)
+"""
+
 # A build imports numpy before its guard reads RSS, so the guard counts
 # numpy as held, not as requested: the child imports it before `before`.
-_CHILD = """
+_CHILD = _WORKERS + """
 import json, resource, sys
 import numpy
-from twinprimes import sieve
 limit, threads = int(sys.argv[1]), int(sys.argv[2])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 s = sieve.build_sieve(limit, threads=threads)
@@ -35,6 +73,7 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 held = s._planes.nbytes + s._cum.nbytes
 print(json.dumps({
     "delta": 1024 * (after - before), "peak": 1024 * after, "held": held,
+    "workers": workers_growth(),
     "pi": s.count_primes_upto(limit), "pi2": s.count_twins_upto(limit),
 }))
 """
@@ -56,7 +95,10 @@ def test_rss_growth_of_a_build_is_within_the_estimate(limit, threads):
     got = _measure(limit, threads)
     estimate = sieve_mod._estimate_bytes(limit, threads)
     # the lower bound shows the child did not start from an inherited peak
-    assert got["held"] // 2 <= got["delta"] <= estimate
+    assert got["held"] // 2 <= got["delta"]
+    assert got["delta"] + got["workers"] <= estimate
+    # one worker forks none
+    assert (got["workers"] > 0) == (threads > 1 and (os.cpu_count() or 1) > 1)
 
 
 def test_1e9_builds_inside_the_default_budget():
@@ -98,6 +140,36 @@ def test_sieve_1e9_counts_without_a_store():
     # A store at 10**9 peaks at ~76 MiB; the count-only passes at ~32 MiB,
     # about what the interpreter and numpy take on their own.
     assert peak < 48 * 1024 * 1024
+
+
+_SIEVE_CLI_WORKERS = _WORKERS + """
+import json, resource, sys
+import numpy
+from twinprimes.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"parent": 1024 * (after - before),
+                  "workers": workers_growth()}))
+sys.exit(code)
+"""
+
+
+def test_sieve_1e9_on_two_workers_stays_within_the_estimate():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, sys.executable, "-c",
+         _SIEVE_CLI_WORKERS, "sieve", "--limit", str(10**9), "--threads", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, grown = proc.stdout.splitlines()
+    assert lines == ["limit=1000000000", "pi=50847534", "pi2=3424506",
+                     "pi_pi=3048955"]
+    got = json.loads(grown)
+    # The first pass, to 10**9, is the larger; its estimate bounds both.
+    estimate = sieve_mod._estimate_bytes(10**9, 2, store=False, points=1)
+    assert got["parent"] + got["workers"] <= estimate
+    assert got["workers"] > 0 or (os.cpu_count() or 1) == 1
 
 
 def test_check_sieves_only_to_its_last_point():

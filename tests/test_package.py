@@ -47,6 +47,18 @@ def test_sieve_subcommand_loads_only_what_it_runs():
     assert {"twinprimes.cli", "twinprimes.sieve"} <= loaded
 
 
+def test_a_two_worker_pass_loads_no_thread_pool():
+    # The second of two workers is a forked process, not a pool thread.
+    loaded = _loaded_after(
+        "import os\n"
+        "os.cpu_count = lambda: 2\n"
+        "from twinprimes import sieve\n"
+        "assert sieve._worker_count(2, sieve._n_windows(10**7)) == 2\n"
+        "assert sieve.count_at(10**7, [10**7], threads=2)[10**7] == "
+        "(664579, 58980)")
+    assert "concurrent.futures" not in loaded
+
+
 _SWEEP = json.loads((Path(__file__).parents[1] / "perfbench" / "data"
                      / "cases.json").read_text())["sweep"]
 

@@ -1,6 +1,10 @@
 import math
 import os
+import re
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +20,7 @@ from twinprimes import (
     count_at,
     small_primes,
 )
+from twinprimes import cli
 from twinprimes import sieve as sieve_mod
 from twinprimes.sieve import _BLOCK, _estimate_bytes, _worker_count
 
@@ -334,19 +339,157 @@ def test_count_pass_matches_the_store(store_3e5, limit, threads,
 
 
 def test_count_pass_with_more_workers_than_cores(store_3e5, monkeypatch):
-    # Eight workers on any host, switching threads every microsecond: each
-    # counts its own run of windows and returns its own totals and edges.
+    # Eight forked workers on any host: each counts its own run of windows
+    # and sends back its own totals and edges.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for limit in (10**5, 3 * 10**5):
-            assert pi_pi2(limit, threads=8) == (
-                store_3e5.count_primes_upto(limit),
-                store_3e5.count_twins_upto(limit))
-    finally:
-        sys.setswitchinterval(interval)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for limit in (10**5, 3 * 10**5):
+        forks.clear()
+        assert pi_pi2(limit, threads=8) == (
+            store_3e5.count_primes_upto(limit),
+            store_3e5.count_twins_upto(limit))
+        # seven a pass: to the limit, and to pi(limit) (25 and 68 windows)
+        assert len(forks) == 14, limit
+    _no_child_left()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_a_worker(monkeypatch, act):
+    """Two workers over windows of 64 j-values, and act() called in the
+    forked one as it starts its run."""
+    parent, windows = os.getpid(), sieve_mod._windows
+
+    def hooked(limit, primes, ks):
+        if os.getpid() != parent:
+            act()
+        return windows(limit, primes, ks)
+
+    monkeypatch.setattr(sieve_mod, "_windows", hooked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
+
+
+_DEATHS = {"exit 3": (lambda: os._exit(3), 3),
+           "SIGKILL": (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)}
+
+
+@pytest.mark.parametrize("death", sorted(_DEATHS))
+def test_a_worker_that_dies_is_an_error(death, monkeypatch, capsys):
+    act, status = _DEATHS[death]
+    _in_a_worker(monkeypatch, act)
+    ended = rf"worker \d+ ended without a result \(exit status {status}\)"
+    for run in (lambda: build_sieve(10**4, threads=2),
+                lambda: pi_pi2(10**4, threads=2)):
+        with pytest.raises(ChildProcessError, match=ended):
+            run()
+        _no_child_left()
+    assert cli.main(["sieve", "--limit", "10000", "--threads", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {ended}\n", err), err
+    _no_child_left()
+
+
+def test_a_worker_exception_keeps_its_type(monkeypatch, capsys):
+    def fail():
+        raise SieveRangeError("raised in a worker")
+
+    _in_a_worker(monkeypatch, fail)
+    with pytest.raises(SieveRangeError, match="raised in a worker"):
+        pi_pi2(10**4, threads=2)
+    _no_child_left()
+    assert cli.main(["sieve", "--limit", "10000", "--threads", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: raised in a worker\n")
+
+
+def test_workers_are_reaped_and_killed_if_the_parent_fails(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
+    assert pi_pi2(10**4, threads=2) == (1229, 205)
+    _no_child_left()
+    parent, windows = os.getpid(), sieve_mod._windows
+
+    def parent_fails(limit, primes, ks):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # killed long before
+        return windows(limit, primes, ks)
+
+    monkeypatch.setattr(sieve_mod, "_windows", parent_fails)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        pi_pi2(10**4, threads=2)
+    assert time.monotonic() - started < 30
+    _no_child_left()
+
+
+def _python(code, timeout):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_text_printed_before_a_two_worker_pass_appears_once():
+    # stdout is a pipe, so "before" is still buffered when the worker forks.
+    proc = _python(
+        "import os\n"
+        "os.cpu_count = lambda: 2\n"
+        "from twinprimes import sieve\n"
+        "sieve.SEGMENT_SIZE = 64\n"
+        "print('before')\n"
+        "print(sieve.count_at(10**4, [10**4], threads=2)[10**4])\n", 120)
+    assert (proc.returncode, proc.stdout) == (0, "before\n(1229, 205)\n")
+
+
+# The parent ends in its own run; its worker, with 2,604 windows of 20 ms
+# left, holds the stdout pipe, so run() returns only once it has ended.
+_ORPHAN = """
+import os, time
+os.cpu_count = lambda: 2
+from twinprimes import sieve
+sieve.SEGMENT_SIZE = 64
+parent, windows = os.getpid(), sieve._windows
+
+def slow(limit, primes, ks):
+    if os.getpid() == parent:
+        os._exit(0)
+    for window in windows(limit, primes, ks):
+        time.sleep(0.02)
+        yield window
+
+sieve._windows = slow
+sieve.count_at(2 * 10**6, [2 * 10**6], threads=2)
+"""
+
+
+def test_an_orphaned_worker_stops_at_its_next_window():
+    started = time.monotonic()
+    assert _python(_ORPHAN, 120).returncode == 0
+    assert time.monotonic() - started < 20
+
+
+def test_without_fork_a_pass_runs_on_one_worker(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
+    xs = [10**4, 3 * 10**4, 10**5]
+    forked = count_at(10**5, xs, threads=2), build_sieve(10**5, threads=2)
+    monkeypatch.delattr(os, "fork")  # any fork would raise AttributeError
+    assert _worker_count(2, 100) == 1
+    assert count_at(10**5, xs, threads=2) == forked[0]
+    store = build_sieve(10**5, threads=2)
+    for field in ("_planes", "_cum"):
+        assert np.array_equal(getattr(store, field), getattr(forked[1], field))
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,9 +690,11 @@ def test_count_pass_budget_counts_only_what_it_holds():
 @pytest.mark.parametrize("limit", [10**4, 3 * 10**6, 10**7])
 def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
     # One window, the largest of them, and two: the second window's block
-    # counts must not sit beside the first's.  On two threads, at the limit
-    # alone and at 400 points, the pool and the answers count too.  A first
-    # run imports what the pass loads on first use.
+    # counts must not sit beside the first's.  At the limit alone and at 400
+    # points the answers count too.  tracemalloc sees only this process,
+    # which on two workers runs one of them and joins the answers of both:
+    # the share of a single worker's estimate (tests/test_memory.py measures
+    # the forked one).  A first run imports what the pass loads on first use.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spread = np.linspace(2, limit, 400).astype(int).tolist()
     for threads in (1, 2):
@@ -561,7 +706,7 @@ def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= _estimate_bytes(limit, threads, store=False,
+            assert peak <= _estimate_bytes(limit, 1, store=False,
                                            points=len(xs)), (threads, len(xs))
 
 
