@@ -71,8 +71,8 @@ _FLAGS = {
     "--limit": dict(type=int, default=_DEFAULTS["limit"],
                     help="bound on the points read (default %(default)s)"),
     "--threads": dict(type=int, default=_DEFAULTS["threads"],
-                      help="counting workers (forked processes); "
-                      "never changes results"),
+                      help="workers (forked processes) that count and "
+                      "run the invariant suite; never changes results"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),

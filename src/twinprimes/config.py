@@ -47,7 +47,8 @@ class RunConfig(Validated, _RunConfigFields):
     the checkpoints.  The CLI counts at those points alone, sieving only
     as far as the largest.  h_c is the estimator's calibrated density
     ratio and euler_pmax the truncation bound of every Euler product.  The
-    thread count never changes an output byte; it only tunes the count.
+    thread count never changes an output byte; it only tunes the count
+    and the invariant suite.
     """
 
     __slots__ = ()

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 from . import counting, estimators, legendre
 from .config import RunConfig
 from .estimators import log_grid, round_half_away
-from .sieve import Counts, small_primes
+from .sieve import Counts, _fan_out, small_primes
 
 STATUS_MATCH = "match"
 STATUS_FORMATTING = "formatting-only"
@@ -339,127 +339,144 @@ def suite_points(limit: int) -> tuple[list[int], list[int], list[int]]:
     return grid, decades, xs
 
 
+def _phi_table(y: int, r: int) -> list[array]:
+    """Running sums of k-rough indicators: row k of them, for k <= r, is
+    phi(v, k) at every v <= y."""
+    rough = bytearray(b"\x00") + bytearray(b"\x01") * y
+    # Each row through a list: array() appends an iterator's items one by
+    # one, which took 1.4 times as long at y = 10**4.
+    rows = [array("q", [*accumulate(rough)])]
+    for p in legendre.first_primes(r):
+        rough[p::p] = bytearray(y // p)
+        rows.append(array("q", [*accumulate(rough)]))
+    return rows
+
+
 def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
     """Execute every module's invariant grid, clamped to the sieve limit.
 
     Returns a named pass/fail per check; the CLI turns any failure into a
-    non-zero exit.
+    non-zero exit.  The checks run in two parts of about equal time, the
+    second on a forked worker if cfg.threads allows (sieve._fan_out), and
+    are joined in order; caches a worker fills stay in it.
     """
-    report = InvariantReport()
-    add = report.checks.append
     grid, decades, xs = suite_points(sieve.limit)
     # pi, pi2 and pi(pi), counted once at every x that the checks below read.
     at = {row.x: row for row in counting.checkpoint_rows(
         sieve, sorted({*grid, *decades}))}
 
-    def grid_check(name: str, bad: list[int]) -> None:
-        add(InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
-            f"violations at {bad[:8]}" if bad else "0 violations")))
+    def grid_check(name: str, bad: list[int]) -> InvariantCheck:
+        return InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
+            f"violations at {bad[:8]}" if bad else "0 violations"))
 
-    grid_check("trost_bounds_grid", [
-        x for x, (lo, up) in zip(grid, map(estimators.trost_bounds, grid))
-        if not lo < at[x].pi_x < up])
-    grid_check("sandwich_grid", [
-        x for x, (a, b) in zip(grid, map(estimators.sandwich_bounds, grid))
-        if not a < at[x].pi_pi_x < b])
+    def counts_and_phi_routes():
+        yield grid_check("trost_bounds_grid", [
+            x for x, (lo, up) in zip(grid, map(estimators.trost_bounds, grid))
+            if not lo < at[x].pi_x < up])
+        yield grid_check("sandwich_grid", [
+            x for x, (a, b) in zip(grid, map(estimators.sandwich_bounds, grid))
+            if not a < at[x].pi_pi_x < b])
 
-    bad = [x for x in grid if not 0 < estimators.density_ratio(
-        x, at[x].pi_x, at[x].pi2_x) < estimators.H_RATIO_CAP]
-    add(InvariantCheck(
-        "h_ratio_cap_grid", not bad,
-        f"violations at {bad[:8]}" if bad else
-        f"0 < h < {estimators.H_RATIO_CAP} at all grid points with twins"))
+        bad = [x for x in grid if not 0 < estimators.density_ratio(
+            x, at[x].pi_x, at[x].pi2_x) < estimators.H_RATIO_CAP]
+        yield InvariantCheck(
+            "h_ratio_cap_grid", not bad,
+            f"violations at {bad[:8]}" if bad else
+            f"0 < h < {estimators.H_RATIO_CAP} at all grid points with twins")
 
-    ok = True
-    detail = "pi and pi2 non-decreasing over the full range"
-    probe = [at[x] for x in grid[:: max(1, len(grid) // 16)]]
-    for a, b in zip(probe, probe[1:]):
-        if b.pi_x < a.pi_x or b.pi2_x < a.pi2_x:
-            ok, detail = False, f"counts decreased between {a.x} and {b.x}"
-    if any(row.pi2_x > row.pi_x for row in probe):
-        ok, detail = False, "pi2 exceeded pi"
-    add(InvariantCheck("count_monotonicity", ok, detail))
+        ok = True
+        detail = "pi and pi2 non-decreasing over the full range"
+        probe = [at[x] for x in grid[:: max(1, len(grid) // 16)]]
+        for a, b in zip(probe, probe[1:]):
+            if b.pi_x < a.pi_x or b.pi2_x < a.pi2_x:
+                ok, detail = False, f"counts decreased between {a.x} and {b.x}"
+        if any(row.pi2_x > row.pi_x for row in probe):
+            ok, detail = False, "pi2 exceeded pi"
+        yield InvariantCheck("count_monotonicity", ok, detail)
 
-    if len(decades) >= 2:
-        dens_x = [at[x].pi2_x / x for x in decades]
-        dens_pi = [at[x].pi2_x / at[x].pi_x for x in decades]
-        ok = all(b < a for a, b in zip(dens_x, dens_x[1:])) and all(
-            b < a for a, b in zip(dens_pi, dens_pi[1:])
-        )
-        add(InvariantCheck(
-            "vanishing_density_trend", ok,
-            f"pi2/x and pi2/pi strictly decreasing over {decades}"))
-
-    # One table of r-rough indicators feeds both phi checks: row r of its
-    # running sums along y is phi(y, r) for every y <= y_top and r <= 10.
-    y_max, y_top = min(2000, sieve.limit), min(10**4, sieve.limit)
-    rough = bytearray(b"\x00") + bytearray(b"\x01") * y_top
-    phi = [array("q", accumulate(rough))]
-    for p in legendre.first_primes(10):
-        rough[p::p] = bytearray(y_top // p)
-        phi.append(array("q", accumulate(rough)))
-    mism = []
-    for r in range(8):
-        for y in range(0, y_max + 1, 7):
-            phis = {legendre.phi_recursive(y, r), legendre.phi_mobius(y, r)}
-            if phis != {phi[r][y]}:
-                mism.append((y, r))
-    add(InvariantCheck(
-        "phi_two_routes_vs_bruteforce", not mism,
-        f"disagreements at {mism[:5]}" if mism
-        else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7"))
-
-    primes, bad = small_primes(y_top), []
-    for y in range(1, y_top + 1, 3):
-        pi_y = bisect_right(primes, y)
-        bad += [(y, r) for r in range(11) if pi_y > phi[r][y] + r]
-    del rough, phi  # before the Euler products below take theirs
-    add(InvariantCheck(
-        "phi_prime_count_bound_grid", not bad,
-        f"violations at {bad[:5]}" if bad
-        else f"pi(y) <= phi(y,r) + r for sampled y <= {y_top}, r <= 10"))
-
-    bad = []
-    for c in (0.8, 1.0, 1.2, 1.4):
-        for y in decades or grid[-1:]:  # the limit, below 1000
-            chk = legendre.density_upper_bound(
-                sieve, legendre.DensityBoundParams(c=c, y=y)
+        if len(decades) >= 2:
+            dens_x = [at[x].pi2_x / x for x in decades]
+            dens_pi = [at[x].pi2_x / at[x].pi_x for x in decades]
+            ok = all(b < a for a, b in zip(dens_x, dens_x[1:])) and all(
+                b < a for a, b in zip(dens_pi, dens_pi[1:])
             )
-            if not chk.holds:
-                bad.append((c, y))
-    add(InvariantCheck(
-        "density_upper_bound_grid", not bad,
-        f"violations at {bad}" if bad else "bound holds on the full (c, y) grid"))
+            yield InvariantCheck(
+                "vanishing_density_trend", ok,
+                f"pi2/x and pi2/pi strictly decreasing over {decades}")
 
-    if xs:
-        rows = estimators.estimate_rows(sieve, xs, cfg.h_c)
-        bad = [(r.x, round(r.rel_error, 4)) for r in rows if r.rel_error > 0.04]
-        add(InvariantCheck(
-            "estimator_accuracy", not bad,
-            f"rel_error > 0.04 at {bad}" if bad
-            else f"rel_error <= 0.04 at all {len(xs)} checkpoints"))
+        y_max, mism = min(2000, sieve.limit), []
+        phi = _phi_table(y_max, 7)
+        for r in range(8):
+            for y in range(0, y_max + 1, 7):
+                phis = {legendre.phi_recursive(y, r), legendre.phi_mobius(y, r)}
+                if phis != {phi[r][y]}:
+                    mism.append((y, r))
+        yield InvariantCheck(
+            "phi_two_routes_vs_bruteforce", not mism,
+            f"disagreements at {mism[:5]}" if mism
+            else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7")
 
-    # Coarser truncations, then the run's own (capped at 10**6).
-    top = min(10**6, cfg.euler_pmax)
-    ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
-    consts = estimators.twin_prime_constants(ladder)
-    ok = all(b < a for a, b in zip(consts, consts[1:]))
-    add(InvariantCheck(
-        "twin_constant_monotone", ok,
-        f"truncations {ladder} -> {[f'{c:.9f}' for c in consts]}"))
+    def bounds_and_products():
+        y_top, bad = min(10**4, sieve.limit), []
+        phi, primes = _phi_table(y_top, 10), small_primes(y_top)
+        for y in range(1, y_top + 1, 3):
+            pi_y = bisect_right(primes, y)
+            bad += [(y, r) for r in range(11) if pi_y > phi[r][y] + r]
+        del phi  # before the Euler products below take theirs
+        yield InvariantCheck(
+            "phi_prime_count_bound_grid", not bad,
+            f"violations at {bad[:5]}" if bad
+            else f"pi(y) <= phi(y,r) + r for sampled y <= {y_top}, r <= 10")
 
-    if decades:
-        ratios = [
-            estimators.hardy_littlewood_simple(x, cfg.euler_pmax) / at[x].pi2_x
-            for x in decades
-        ]
-        growing = all(b > a for a, b in zip(ratios, ratios[1:]))
-        add(InvariantCheck(
-            "hl_simple_overshoot_finding", True,
-            "audit finding (never fails): estimate/actual at "
-            f"{decades} = {[f'{r:.2f}' for r in ratios]}"
-            + (", growing" if growing else ", NOT growing")))
+        bad = []
+        for c in (0.8, 1.0, 1.2, 1.4):
+            for y in decades or grid[-1:]:  # the limit, below 1000
+                chk = legendre.density_upper_bound(
+                    sieve, legendre.DensityBoundParams(c=c, y=y)
+                )
+                if not chk.holds:
+                    bad.append((c, y))
+        yield InvariantCheck(
+            "density_upper_bound_grid", not bad,
+            f"violations at {bad}" if bad
+            else "bound holds on the full (c, y) grid")
 
+        if xs:
+            rows = estimators.estimate_rows(sieve, xs, cfg.h_c)
+            bad = [(r.x, round(r.rel_error, 4)) for r in rows
+                   if r.rel_error > 0.04]
+            yield InvariantCheck(
+                "estimator_accuracy", not bad,
+                f"rel_error > 0.04 at {bad}" if bad
+                else f"rel_error <= 0.04 at all {len(xs)} checkpoints")
+
+        # Coarser truncations, then the run's own (capped at 10**6).
+        top = min(10**6, cfg.euler_pmax)
+        ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
+        consts = estimators.twin_prime_constants(ladder)
+        ok = all(b < a for a, b in zip(consts, consts[1:]))
+        yield InvariantCheck(
+            "twin_constant_monotone", ok,
+            f"truncations {ladder} -> {[f'{c:.9f}' for c in consts]}")
+
+        if decades:  # in the ladder's part: it reads the C2 cached there
+            ratios = [
+                estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
+                / at[x].pi2_x for x in decades
+            ]
+            growing = all(b > a for a, b in zip(ratios, ratios[1:]))
+            yield InvariantCheck(
+                "hl_simple_overshoot_finding", True,
+                "audit finding (never fails): estimate/actual at "
+                f"{decades} = {[f'{r:.2f}' for r in ratios]}"
+                + (", growing" if growing else ", NOT growing"))
+
+    # ~30 and ~40 ms at 10**6 (2-vCPU x86_64, caches cleared).
+    parts = (counts_and_phi_routes, bounds_and_products)
+    report = InvariantReport()
+    for checks in _fan_out(lambda ks: [c for k in ks for c in parts[k]()],
+                           cfg.threads, len(parts)):
+        report.checks += checks
     return report
 
 

@@ -9,9 +9,10 @@ SEGMENT_SIZE j-values of both planes at a time, runs of windows in forked
 workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
 a slice per plane for each larger base prime.  build_sieve keeps them, with
 popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
-Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
-the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or up to one
-window on bytearray planes without numpy.  A second pass gives pi(pi(x)).
+Jacobson 1989, Vigna 2008); count_at counts each window as it passes, by
+popcounts, with the same _block_counts and _prefix_count in a window that
+holds a point, in O(sqrt(x)) memory, or up to one window on bytearray
+planes without numpy.  A second pass gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -162,24 +163,28 @@ def _windows(limit: int, primes: array, ks: range):
         yield k, words
 
 
-def _worker_count(threads: int, n_windows: int) -> int:
-    """Workers a pass really starts: never more than windows or CPUs, and
+def _worker_count(threads: int, n_parts: int) -> int:
+    """Workers a fan-out really starts: never more than parts or CPUs, and
     one where os.fork is missing."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    return max(1, min(threads, n_windows, cpus))
+    return max(1, min(threads, n_parts, cpus))
 
 
-def _fan_out(work, threads: int, n_windows: int) -> list:
-    """[work(ks) for each worker's run ks of windows], the runs contiguous,
-    non-empty and in order.  The caller runs the first; a forked child runs
-    each other one, pickles back its result or exception and stops at its
-    next window if orphaned.  Children are reaped, killed first if the caller's
-    run failed; one that ends without a result raises ChildProcessError."""
+def _fan_out(work, threads: int, n_parts: int) -> list:
+    """[work(ks) for each worker's run ks of parts 0..n_parts-1], the runs
+    contiguous, non-empty and in order; on one worker, one call.  Else the
+    caller runs the first, and a forked child each other one, passed as a
+    generator that work must iterate: it stops the child at its next part
+    if orphaned.  A child pickles back its result or exception.  Children
+    are reaped, killed first if the caller's run failed; one that ends
+    without a result raises ChildProcessError."""
+    workers = _worker_count(threads, n_parts)
+    if workers == 1:
+        return [work(range(n_parts))]
     import pickle
-    workers = _worker_count(threads, n_windows)
-    runs = [range(i * n_windows // workers, (i + 1) * n_windows // workers)
+    runs = [range(i * n_parts // workers, (i + 1) * n_parts // workers)
             for i in range(workers)]
     parent, children, outs = os.getpid(), [], None
     try:
@@ -419,15 +424,22 @@ def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
     def count_run(ks: range):
         # Set bits of each kind in a run of windows, each key's from the
         # run's start.  A key past the last window is answered in the last.
+        import numpy as np
         total, below = [0] * 3, {}
         for k, (a, b) in _windows(limit, primes, ks):
-            cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
             hi = bisect_left(js, (k + 1) * size) if k + 1 < n_windows else None
-            for j, i in keys[bisect_left(js, k * size) : hi]:
-                below[j, i] = total[i] + _prefix_count(cum[i], j - k * size,
-                                                       *rows[i])
-            total = [n + m for n, m in zip(total, cum[:, -1].tolist())]
-            del cum, rows, a, b  # before the next window is sieved
+            if here := keys[bisect_left(js, k * size) : hi]:
+                # Block counts only in a window that a key reads.
+                cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
+                for j, i in here:
+                    below[j, i] = total[i] + _prefix_count(
+                        cum[i], j - k * size, *rows[i])
+                sums = cum[:, -1].tolist()
+                del cum, rows
+            else:
+                sums = [int(np.bitwise_count(w).sum()) for w in (a, b, a & b)]
+            total = [n + m for n, m in zip(total, sums)]
+            del a, b  # before the next window is sieved
         return total, below
 
     total, below = [0] * 3, {}

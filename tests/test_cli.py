@@ -266,6 +266,24 @@ def test_a_check_process_writes_the_golden_json(tmp_path):
     assert out.read_bytes() == (GOLDEN / "check.json").read_bytes()
 
 
+def test_check_and_reproduce_are_identical_on_two_workers(tmp_path,
+                                                          monkeypatch, capsys):
+    # Two CPUs on any host, so a second worker runs half the suite.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("TWINPRIMES_OUTDIR", raising=False)
+    runs = []
+    for threads in ("1", "2"):
+        check = main(["check", *_M, "--threads", threads]), capsys.readouterr()
+        repro = main(["reproduce", *_M, "--threads", threads,
+                      "--outdir", str(tmp_path)]), capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        runs.append((check, repro, files))
+    assert runs[0] == runs[1]
+    check, repro, files = runs[0]
+    assert check == (2, ((CASES / "golden" / "check.stdout").read_text(), ""))
+    assert repro[0] == 0 and len(files) == 9
+
+
 def test_main_registers_the_exit_freeze_once():
     # gc.freeze is swapped for a counter before main runs; the printer,
     # registered first, runs last at exit.

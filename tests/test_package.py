@@ -87,6 +87,12 @@ def test_a_sweep_subcommand_at_1e6_loads_no_dataclasses_or_inspect(case):
     assert "inspect" not in loaded
 
 
+@pytest.mark.parametrize("case", sorted(_SWEEP))
+def test_a_sweep_subcommand_at_1e6_loads_no_pickle(case):
+    # One worker: a fan-out is one call, with no fork and nothing to pickle.
+    assert "pickle" not in _loaded_by_sweep_case(case)
+
+
 def test_a_count_past_one_window_loads_numpy():
     # One window of 2**20 j-values per plane reaches 6 * 2**20 + 4.
     for limit, numpy in ((6_291_460, False), (6_291_461, True)):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import re
+import signal
+from pathlib import Path
 
 import pytest
 
 from twinprimes import (
     PrimeSieve,
     RunConfig,
+    estimators,
     load_reference_tables,
     small_primes,
 )
@@ -318,3 +323,82 @@ class TestInvariantSuite:
         assert text.count("[PASS]") + text.count("[FAIL]") == len(
             suite_1e6.checks
         )
+
+
+def _counted_forks(monkeypatch):
+    """The pids that os.fork returns from now on, two CPUs on any host."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_in_a_worker():
+    raise ValueError("raised in a worker")
+
+
+_CHECK_STDOUT = (Path(__file__).parents[1] / "perfbench" / "data" / "golden"
+                 / "check.stdout").read_text()
+
+
+class TestSuiteWorkers:
+    @pytest.mark.parametrize("store", ["sieve_1e4", "sieve_1e6"])
+    def test_two_workers_give_the_same_checks_in_order(self, store, request,
+                                                       monkeypatch):
+        sieve = request.getfixturevalue(store)
+        cfg = RunConfig(limit=sieve.limit)
+        one = run_invariant_suite(sieve, cfg).checks
+        forks = _counted_forks(monkeypatch)
+        two = run_invariant_suite(sieve, cfg._replace(threads=2)).checks
+        assert len(forks) == 1
+        assert two == one
+        _no_child_left()
+
+    def test_one_worker_forks_nothing(self, monkeypatch, capsys):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["check", "--limit", "1000000", "--threads", "1"]) == 2
+        assert capsys.readouterr().out == _CHECK_STDOUT
+
+    # The worker runs the second part, which reads the Euler-product ladder.
+    _FAILURES = {
+        "exit 3": (lambda: os._exit(3), r"worker \d+ ended without a result "
+                   r"\(exit status 3\)"),
+        "SIGKILL": (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                    r"worker \d+ ended without a result \(exit status -9\)"),
+        "raises": (_raise_in_a_worker, "raised in a worker"),
+    }
+
+    @pytest.mark.parametrize("failure", sorted(_FAILURES))
+    def test_a_failing_worker_is_one_error_line(self, failure, monkeypatch,
+                                                capsys):
+        act, message = self._FAILURES[failure]
+        parent, ladder = os.getpid(), estimators.twin_prime_constants
+
+        def hooked(pmaxes):
+            if os.getpid() != parent:
+                act()
+            return ladder(pmaxes)
+
+        monkeypatch.setattr(estimators, "twin_prime_constants", hooked)
+        forks = _counted_forks(monkeypatch)
+        assert main(["check", "--limit", "10000", "--threads", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(f"error: {message}\n", err), err
+        assert len(forks) == 1
+        _no_child_left()

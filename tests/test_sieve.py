@@ -320,7 +320,13 @@ def test_count_pass_matches_the_store_at_every_small_limit(
         monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", segment_size)
+    edge = 6 * segment_size  # the numbers past each window's last j
     for x in range(5, 3001):
+        # Two workers fork twice a limit: only the limits within 12 of a
+        # window edge, which still reach every window count that the one
+        # worker does, and so every split of windows into runs.
+        if threads == 2 and (x + 12) % edge > 24:
+            continue
         expected = (trial_pi_1e4[x], trial_twin_1e4[x])
         assert pi_pi2(x, threads=threads) == expected, x
         assert (store_3e5.count_primes_upto(x),
