@@ -51,10 +51,6 @@ class SandwichCheck(NamedTuple):
     holds: bool       # a_bound < pi_pi_x < b_bound
     holds_pi2: bool   # a_bound < pi2_x  < b_bound
 
-    @property
-    def row(self) -> BoundsRow:
-        return BoundsRow(self.x, self.a_bound, self.pi2_x, self.b_bound)
-
 
 class EstimateRow(NamedTuple):
     """One row of the estimator table, densities included."""
@@ -102,12 +98,8 @@ def sandwich_bounds(x: int) -> tuple[float, float]:
         raise ValueError(f"x must be >= 5, got {x}")
     lx = math.log(x)
     llx = math.log(lx)
-    denom_a = lx - llx - LN_1_5
-    if denom_a <= 0:
-        raise ValueError(
-            f"ln(x) - ln(ln(x)) - ln(1.5) = {denom_a:.6f} must be > 0 at x={x}"
-        )
-    a = 4 * x / (9 * lx * denom_a)
+    # ln x - ln ln x grows for ln x > 1, so A's denominator is >= 0.728.
+    a = 4 * x / (9 * lx * (lx - llx - LN_1_5))
     b = 64 * x / (25 * lx * (lx - llx + LN_1_6))
     return a, b
 
@@ -205,8 +197,9 @@ def twin_count_estimate(x: int, pi_x: int, h_c: float = DEFAULT_H_C) -> int:
 
 
 def bounds_rows(sieve: Counts, xs: Sequence[int]) -> list[BoundsRow]:
-    """Bounds-table rows at the given checkpoints."""
-    return [sandwich_check(sieve, x).row for x in xs]
+    """Bounds-table rows at the given checkpoints: A, pi2(x) and B."""
+    return [BoundsRow(x, a, sieve.count_twins_upto(x), b)
+            for x, (a, b) in zip(xs, map(sandwich_bounds, xs))]
 
 
 def estimate_rows(
@@ -228,7 +221,7 @@ def estimate_rows(
                 pi2_x=pi2_x,
                 pi2_star=star,
                 abs_delta=delta,
-                rel_error=delta / pi2_x if pi2_x else math.nan,
+                rel_error=delta / pi2_x,  # pi2(x) >= 1: (3, 5)
             )
         )
     return rows

@@ -33,8 +33,6 @@ def first_primes(r: int) -> tuple[int, ...]:
     """The first r primes, strictly increasing from 2."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    if r == 0:
-        return ()
     # p_r < r (ln r + ln ln r) for r >= 6 (Rosser 1941), and p_5 = 11.
     bound = 15 if r < 6 else int(r * (math.log(r) + math.log(math.log(r))))
     # The tuple takes 40 bytes per prime: an 8-byte slot, a 32-byte int.

@@ -9,10 +9,9 @@ SEGMENT_SIZE j-values of both planes at a time, runs of windows in forked
 workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
 a slice per plane for each larger base prime.  build_sieve keeps them, with
 popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
-Jacobson 1989, Vigna 2008); count_at counts each window as it passes, by
-popcounts, with the same _block_counts and _prefix_count in a window that
-holds a point, in O(sqrt(x)) memory, or up to one window on bytearray
-planes without numpy.  A second pass gives pi(pi(x)).
+Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
+the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or up to one
+window on bytearray planes without numpy.  A second pass gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ if TYPE_CHECKING:
 # 10**9 took 13-38% longer at 2**19 and 2**21 (2-vCPU x86_64, medians).
 SEGMENT_SIZE = 1 << 20
 
-# Construction refuses to allocate more than this unless overridden.
+# The most a process may hold: build_sieve, count_at and small_primes
+# refuse, before allocating, a run that could pass it.  Tests may patch it.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 # The pre-sieve primes; their pattern repeats every _PERIOD j-values.
@@ -424,22 +424,15 @@ def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
     def count_run(ks: range):
         # Set bits of each kind in a run of windows, each key's from the
         # run's start.  A key past the last window is answered in the last.
-        import numpy as np
         total, below = [0] * 3, {}
         for k, (a, b) in _windows(limit, primes, ks):
+            cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
             hi = bisect_left(js, (k + 1) * size) if k + 1 < n_windows else None
-            if here := keys[bisect_left(js, k * size) : hi]:
-                # Block counts only in a window that a key reads.
-                cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
-                for j, i in here:
-                    below[j, i] = total[i] + _prefix_count(
-                        cum[i], j - k * size, *rows[i])
-                sums = cum[:, -1].tolist()
-                del cum, rows
-            else:
-                sums = [int(np.bitwise_count(w).sum()) for w in (a, b, a & b)]
-            total = [n + m for n, m in zip(total, sums)]
-            del a, b  # before the next window is sieved
+            for j, i in keys[bisect_left(js, k * size) : hi]:
+                below[j, i] = total[i] + _prefix_count(cum[i], j - k * size,
+                                                       *rows[i])
+            total = [n + m for n, m in zip(total, cum[:, -1].tolist())]
+            del cum, rows, a, b  # before the next window is sieved
         return total, below
 
     total, below = [0] * 3, {}

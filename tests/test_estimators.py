@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinprimes import (
@@ -84,6 +84,16 @@ class TestSandwichBounds:
             assert a < b
         with pytest.raises(ValueError):
             sandwich_bounds(4)
+
+    @settings(max_examples=300)
+    @example(5)
+    @example(10**18)
+    @given(st.integers(5, 10**18))
+    def test_a_is_positive_and_below_b_to_1e18(self, x):
+        # A's denominator ln x - ln ln x - ln 1.5 has no guard of its own:
+        # it grows for ln x > 1 and is ~0.728 at x = 5.
+        a, b = sandwich_bounds(x)
+        assert 0 < a < b
 
     def test_check_against_counts(self, sieve_1e6):
         chk = sandwich_check(sieve_1e6, 500)

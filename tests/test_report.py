@@ -10,11 +10,14 @@ import pytest
 from twinprimes import (
     PrimeSieve,
     RunConfig,
+    count_at,
     estimators,
     load_reference_tables,
+    round_half_away,
     small_primes,
 )
 from twinprimes.cli import main
+from twinprimes.config import DEFAULT_H_C
 from twinprimes.report import (
     STATUS_FORMATTING,
     STATUS_MATCH,
@@ -177,6 +180,25 @@ class TestRendering:
         text = render_table(1, _rows(1, sieve_1e6, RunConfig()), "text")
         lines = text.strip("\n").split("\n")
         assert len({len(line) for line in lines}) == 1
+
+
+# pi(10**9) and pi2(10**9), from OEIS A006880 and A007508.
+PI_1E9, PI2_1E9 = 50_847_534, 3_424_506
+
+
+def test_table3_at_1e9_follows_from_the_oeis_counts():
+    """Past the published tables: one worker's table-3 row at 10**9 has
+    OEIS's pi2, and the h, pi2* and error that OEIS's pi gives."""
+    x = 10**9
+    [row] = table_rows(3, count_at(x, [x]), [x], DEFAULT_H_C)
+    star = round_half_away(DEFAULT_H_C * PI_1E9**2 / x)
+    assert (row.pi2_x, row.pi2_star, row.abs_delta) == (
+        PI2_1E9, star, abs(PI2_1E9 - star))
+    assert row.h == pytest.approx(x * PI2_1E9 / PI_1E9**2, rel=1e-15)
+    assert row.rel_error == pytest.approx(abs(PI2_1E9 - star) / PI2_1E9,
+                                          rel=1e-15)
+    assert render_csv(3, [row]).splitlines()[1] == (
+        "1000000000,1.324519,3424506,3425923,1417,0.0004")
 
 
 class TestCsvRoundTrip:
