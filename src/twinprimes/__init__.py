@@ -21,7 +21,7 @@ _EXPORTS = {
                    "twin_prime_constant", "twin_ratio_product"),
     "legendre": ("DensityBoundCheck", "DensityBoundParams", "PhiPrimeBound",
                  "check_phi_pi_bound", "density_upper_bound", "first_primes",
-                 "phi_mobius", "phi_recursive"),
+                 "phi_mobius", "phi_mobius_row", "phi_recursive"),
     "report": ("AuditReport", "CrossTableConflict", "InvariantReport",
                "ReferenceCell", "audit_against_reference",
                "load_reference_tables", "run_invariant_suite"),

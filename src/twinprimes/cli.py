@@ -3,8 +3,8 @@
 Subcommands: sieve, table1, table2, table3, estimate, calibrate, phi,
 audit, check, reproduce.  Exit codes: 0 all good, 1 invalid input or an
 unwritable output (one ``error:`` line on stderr), 2 invariant failure (or
-reference mismatch under --strict-paper), 3 reference-value mismatches
-only.  ``reproduce`` writes every artifact to a directory and exits 0.
+reference mismatch under --strict-paper), 3 reference mismatches only, 130
+interrupted.  ``reproduce`` writes every artifact to a directory, exits 0.
 
 Output goes to stdout unless --out is given; a relative --out path is
 resolved inside $TWINPRIMES_OUTDIR when that is set.  Identical
@@ -339,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        import signal  # a second Ctrl-C must not interrupt this line or exit
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

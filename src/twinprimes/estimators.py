@@ -18,6 +18,8 @@ import math
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
@@ -132,12 +134,14 @@ def twin_prime_constant(pmax: int) -> float:
 
 def twin_prime_constants(pmaxes: Sequence[int]) -> list[float]:
     """twin_prime_constant at each of the increasing pmaxes, from one sieve:
-    the last one's, as cached, and each other's product over a prefix of
-    its primes, the same factors in the same order as its own."""
-    odd, last = _odd_primes(pmaxes[-1]), twin_prime_constant(pmaxes[-1])
-    return [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
-                            for p in odd[: bisect_right(odd, pmax)])
-            for pmax in pmaxes[:-1]] + [last]
+    the last one's, as cached, and each other's a prefix of one running
+    product, the same factors in the same order as its own."""
+    odd = _odd_primes(pmaxes[-1])
+    ends = [bisect_right(odd, pmax) for pmax in pmaxes[:-1]]
+    running = [*accumulate((1.0 - 1.0 / (p - 1.0) ** 2
+                            for p in odd[: max(ends, default=0)]),
+                           mul, initial=1)]
+    return [2.0 * running[e] for e in ends] + [twin_prime_constant(pmaxes[-1])]
 
 
 @lru_cache(maxsize=16)

@@ -4,9 +4,11 @@ it yields on pi(y) and on the prime density pi(y)/y.
 phi(y, r) counts naturals <= y (1 included) divisible by none of the first
 r primes.  Two independent evaluations, neither recursive nor memoized,
 are kept permanently as mutual oracles: the two-argument recurrence,
-unrolled level by level (Lagarias, Miller and Odlyzko 1985), and the direct
-signed Moebius sum over squarefree products of the first r primes.  All
-arithmetic is exact integer arithmetic; floor(y/d) is integer division.
+unrolled level by level down to a wheel base case (Lagarias, Miller and
+Odlyzko 1985): phi(v, k) = (v // m)*phi(m, k) + phi(v % m, k) for the first
+k = min(r, 4) primes and their product m; and the direct signed Moebius sum
+over squarefree products of the first r primes, one sorted list per row of
+y.  All arithmetic is exact integer arithmetic; floor(y/d) is integer division.
 
 The classical choice r = pi(sqrt(y)) is one selectable instance; r stays a
 free parameter here.
@@ -15,8 +17,10 @@ free parameter here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from .config import Validated
 from .sieve import Counts, small_primes
@@ -24,6 +28,10 @@ from .sieve import Counts, small_primes
 MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
 
 _LN2 = math.log(2)
+
+# (m, T) for the first k = 0..4 primes: m their product, T[i] = phi(i, k).
+_WHEELS = [(m, [*accumulate((math.gcd(n, m) == 1 for n in range(1, m + 1)),
+                            initial=0)]) for m in (1, 2, 6, 30, 210)]
 
 
 # Both phi routes call this on every evaluation.  One result only: the
@@ -44,9 +52,9 @@ def phi_recursive(y: int, r: int) -> int:
 
     Unrolled level by level as ones + sum(c * phi(v, k)) over a map from
     the values v = floor(y/d) (at most ~2*sqrt(y)) to signed multiplicities
-    c, from {y: 1} at k = r down to k = 0, where phi(v, 0) = v.  A term with
-    v < P_k is settled into ones: every n in [2, v] has a prime factor below
-    P_k, so phi(v, k) = 1.
+    c, from {y: 1} at k = r down to k = min(r, 4), where each term is read
+    off its wheel.  A term with v < P_k is settled into ones: every n in
+    [2, v] has a prime factor below P_k, so phi(v, k) = 1.
     """
     if y < 0:
         raise ValueError(f"y must be >= 0, got {y}")
@@ -54,8 +62,8 @@ def phi_recursive(y: int, r: int) -> int:
         raise ValueError(f"r must be >= 0, got {r}")
     if y < 2:
         return y
-    terms, ones = {y: 1}, 0
-    for p in reversed(first_primes(r)):
+    k, terms, ones = min(r, 4), {y: 1}, 0
+    for p in reversed(first_primes(r)[k:]):
         below = {}
         for v, c in terms.items():
             if v < p:
@@ -64,19 +72,21 @@ def phi_recursive(y: int, r: int) -> int:
             below[v] = below.get(v, 0) + c
             below[v // p] = below.get(v // p, 0) - c
         terms = below
-    return ones + sum(v * c for v, c in terms.items())
+    m, wheel = _WHEELS[k]
+    return ones + sum(c * ((v // m) * wheel[m] + wheel[v % m])
+                      for v, c in terms.items())
 
 
-def phi_mobius(y: int, r: int) -> int:
-    """phi(y, r) as the signed sum of floor(y/d) over squarefree divisors d
-    of the product of the first r primes.
+def phi_mobius_row(ys: Sequence[int], r: int) -> list[int]:
+    """phi(y, r) at each y of ys, as the signed sum of floor(y/d) over the
+    squarefree divisors d <= y of the product of the first r primes.
 
-    Divisors exceeding y are pruned during generation (their floor terms are
-    zero), so the cost is the number of surviving divisors, not 2**r; r is
-    still capped because the unpruned term count doubles per prime.
+    Divisors exceeding max(ys) are pruned during generation (their floor
+    terms are zero), so the cost is the number of surviving divisors, not
+    2**r; r is still capped because the unpruned term count doubles.
     """
-    if y < 0:
-        raise ValueError(f"y must be >= 0, got {y}")
+    if min(ys, default=0) < 0:
+        raise ValueError(f"y must be >= 0, got {min(ys)}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if r > MAX_MOBIUS_R:
@@ -84,12 +94,17 @@ def phi_mobius(y: int, r: int) -> int:
             f"r={r} would expand into 2**{r} Moebius terms; "
             f"the direct sum is capped at r={MAX_MOBIUS_R}"
         )
-    divisors = [(1, 1)]
+    top, divisors = max(ys, default=0), [(1, 1)]
     for p in first_primes(r):
-        divisors.extend(
-            [(d * p, -s) for d, s in divisors if d * p <= y]
-        )
-    return sum(s * (y // d) for d, s in divisors)
+        divisors += [(d * p, -s) for d, s in divisors if d * p <= top]
+    divisors.sort()  # so the d <= y are the pairs up to (y, 1)
+    return [sum([s * (y // d) for d, s in divisors[:bisect_right(
+        divisors, (y, 1))]]) for y in ys]
+
+
+def phi_mobius(y: int, r: int) -> int:
+    """phi(y, r) by the Moebius sum: phi_mobius_row at [y]."""
+    return phi_mobius_row([y], r)[0]
 
 
 class PhiPrimeBound(NamedTuple):

@@ -356,9 +356,9 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
     """Execute every module's invariant grid, clamped to the sieve limit.
 
     Returns a named pass/fail per check; the CLI turns any failure into a
-    non-zero exit.  The checks run in two parts of about equal time, the
-    second on a forked worker if cfg.threads allows (sieve._fan_out), and
-    are joined in order; caches a worker fills stay in it.
+    non-zero exit.  The checks run in two parts, the second on a forked
+    worker if cfg.threads allows (sieve._fan_out), and are joined in order;
+    caches a worker fills stay in it.
     """
     grid, decades, xs = suite_points(sieve.limit)
     # pi, pi2 and pi(pi), counted once at every x that the checks below read.
@@ -369,7 +369,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
         return InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
             f"violations at {bad[:8]}" if bad else "0 violations"))
 
-    def counts_and_phi_routes():
+    def counts_and_phi():
         yield grid_check("trost_bounds_grid", [
             x for x, (lo, up) in zip(grid, map(estimators.trost_bounds, grid))
             if not lo < at[x].pi_x < up])
@@ -404,30 +404,31 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
                 "vanishing_density_trend", ok,
                 f"pi2/x and pi2/pi strictly decreasing over {decades}")
 
-        y_max, mism = min(2000, sieve.limit), []
-        phi = _phi_table(y_max, 7)
+        # One r-rough table for both phi checks; the routes read its prefix.
+        y_top = min(10**4, sieve.limit)
+        phi = _phi_table(y_top, 10)
+        y_max, mism = min(2000, y_top), []
+        ys = range(0, y_max + 1, 7)
         for r in range(8):
-            for y in range(0, y_max + 1, 7):
-                phis = {legendre.phi_recursive(y, r), legendre.phi_mobius(y, r)}
-                if phis != {phi[r][y]}:
-                    mism.append((y, r))
+            mism += [(y, r) for y, mobius in zip(
+                ys, legendre.phi_mobius_row(ys, r))
+                if {legendre.phi_recursive(y, r), mobius} != {phi[r][y]}]
         yield InvariantCheck(
             "phi_two_routes_vs_bruteforce", not mism,
             f"disagreements at {mism[:5]}" if mism
             else f"recurrence == Moebius sum == scan for y <= {y_max}, r <= 7")
 
-    def bounds_and_products():
-        y_top, bad = min(10**4, sieve.limit), []
-        phi, primes = _phi_table(y_top, 10), small_primes(y_top)
-        for y in range(1, y_top + 1, 3):
-            pi_y = bisect_right(primes, y)
-            bad += [(y, r) for r in range(11) if pi_y > phi[r][y] + r]
-        del phi  # before the Euler products below take theirs
+        ys, primes = range(1, y_top + 1, 3), small_primes(y_top)
+        pis = [bisect_right(primes, y) for y in ys]
+        bad = sorted((y, r) for r in range(11)
+                     for y, pi_y, f in zip(ys, pis, phi[r][1::3])
+                     if pi_y > f + r)
         yield InvariantCheck(
             "phi_prime_count_bound_grid", not bad,
             f"violations at {bad[:5]}" if bad
             else f"pi(y) <= phi(y,r) + r for sampled y <= {y_top}, r <= 10")
 
+    def bounds_and_products():
         bad = []
         for c in (0.8, 1.0, 1.2, 1.4):
             for y in decades or grid[-1:]:  # the limit, below 1000
@@ -471,8 +472,8 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
                 f"{decades} = {[f'{r:.2f}' for r in ratios]}"
                 + (", growing" if growing else ", NOT growing"))
 
-    # ~30 and ~40 ms at 10**6 (2-vCPU x86_64, caches cleared).
-    parts = (counts_and_phi_routes, bounds_and_products)
+    # ~25 and ~34 ms at 10**6 (2-vCPU x86_64, cold bytecode cache).
+    parts = (counts_and_phi, bounds_and_products)
     report = InvariantReport()
     for checks in _fan_out(lambda ks: [c for k in ks for c in parts[k]()],
                            cfg.threads, len(parts)):

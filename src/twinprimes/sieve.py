@@ -179,20 +179,24 @@ def _fan_out(work, threads: int, n_parts: int) -> list:
     generator that work must iterate: it stops the child at its next part
     if orphaned.  A child pickles back its result or exception.  Children
     are reaped, killed first if the caller's run failed; one that ends
-    without a result raises ChildProcessError."""
+    without a result raises ChildProcessError.  SIGINT waits while children
+    are forked and while they are reaped, so a Ctrl-C leaves none behind."""
     workers = _worker_count(threads, n_parts)
     if workers == 1:
         return [work(range(n_parts))]
     import pickle
+    from signal import SIG_BLOCK, SIG_UNBLOCK, SIGINT, SIGKILL, pthread_sigmask
     runs = [range(i * n_parts // workers, (i + 1) * n_parts // workers)
             for i in range(workers)]
     parent, children, outs = os.getpid(), [], None
     try:
+        pthread_sigmask(SIG_BLOCK, {SIGINT})
         for ks in runs[1:]:
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # leaves only through os._exit
                 try:
                     try:
+                        pthread_sigmask(SIG_UNBLOCK, {SIGINT})
                         out = work(k for k in ks if os.getppid() == parent
                                    or os._exit(1))
                     except BaseException as exc:
@@ -204,14 +208,20 @@ def _fan_out(work, threads: int, n_parts: int) -> list:
                     os._exit(1)
             os.close(write)  # every write end is the child's: EOF at its end
             children.append((pid, open(read, "rb")))
+        pthread_sigmask(SIG_UNBLOCK, {SIGINT})
         first = work(runs[0])
         outs = [pipe.read() for _, pipe in children]
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            if outs is None:
-                os.kill(pid, 9)  # SIGKILL
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        try:  # a Ctrl-C that Python holds already is raised after reaping
+            pthread_sigmask(SIG_BLOCK, {SIGINT})
+        finally:
+            pthread_sigmask(SIG_BLOCK, {SIGINT})
+            for pid, pipe in children:
+                pipe.close()
+                if outs is None:
+                    os.kill(pid, SIGKILL)
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+            pthread_sigmask(SIG_UNBLOCK, {SIGINT})
     results = [first]
     for (pid, _), out, status in zip(children, outs, statuses):
         if not out:  # a negative exit status is the signal that ended it

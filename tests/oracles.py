@@ -58,6 +58,16 @@ def phi_scan(y: int, r: int, primes: list[int]) -> int:
     return sum(1 for n in range(1, y + 1) if all(n % p for p in lead))
 
 
+def phi_scan_many(ys, r: int, primes: list[int]) -> dict[int, int]:
+    """phi_scan at each y of ys, from one scan up to the largest."""
+    lead, wanted, found, running = primes[:r], set(ys), {}, 0
+    for n in range(0, max(wanted) + 1):
+        running += n > 0 and all(n % p for p in lead)
+        if n in wanted:
+            found[n] = running
+    return found
+
+
 def twin_constant_exact(pmax: int) -> Fraction:
     """2 * prod_{3 <= p <= pmax} (1 - 1/(p-1)^2) as an exact rational."""
     acc = Fraction(2)

@@ -3,8 +3,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -300,6 +302,35 @@ def test_main_registers_the_exit_freeze_once():
         capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "ran 0\nfreezes 1\n"
+
+
+def test_ctrl_c_twice_is_one_error_line_and_leaves_no_worker():
+    # A terminal sends SIGINT to the whole process group: the CLI and the
+    # worker it forked for the second half of the windows.
+    children = Path(f"/proc/self/task/{os.getpid()}/children")
+    if not children.exists():
+        pytest.skip("needs /proc/<pid>/task/<tid>/children")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twinprimes", "sieve", "--limit", str(10**10),
+         "--threads", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.05)  # both are counting now
+        for _ in range(2):
+            os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):  # the worker is reaped too
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_reproduce_writes_the_subcommand_outputs(tmp_path, capsys):

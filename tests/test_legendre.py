@@ -11,9 +11,11 @@ from twinprimes import (
     density_upper_bound,
     first_primes,
     phi_mobius,
+    phi_mobius_row,
     phi_recursive,
     small_primes,
 )
+from twinprimes.legendre import MAX_MOBIUS_R
 
 import oracles
 
@@ -93,6 +95,44 @@ def test_phi_routes_agree_with_scan_exhaustively():
             expected = int(scan[y])
             assert phi_recursive(y, r) == expected, (y, r)
             assert phi_mobius(y, r) == expected, (y, r)
+
+
+def test_phi_routes_agree_below_2500_for_r_up_to_12():
+    # The recurrence stops at the wheel of min(r, 4) primes; the Moebius
+    # row sums one sorted divisor list per r.
+    ys = range(2500)
+    for r in range(13):
+        assert [phi_recursive(y, r) for y in ys] == phi_mobius_row(ys, r), r
+
+
+def test_phi_routes_equal_the_scan_at_wheel_edges():
+    # y within 3 of each multiple of 30, 210 and 2310 (the primorials of
+    # the wheels and the next one) up to 5 * 2310: v mod m near 0 and m.
+    primes = oracles.primes_upto_trial(37)  # the first 12
+    ys = sorted({y for m in (30, 210, 2310) for k in range(5 * 2310 // m + 1)
+                 for y in range(k * m - 3, k * m + 4) if y >= 0})
+    for r in range(13):
+        scan = oracles.phi_scan_many(ys, r, primes)
+        mobius = phi_mobius_row(ys, r)
+        assert scan[ys[-1]] == oracles.phi_scan(ys[-1], r, primes)
+        for y, m in zip(ys, mobius):
+            assert phi_recursive(y, r) == m == scan[y], (y, r)
+
+
+def test_phi_mobius_row_is_the_scalar_at_each_y():
+    ys = [97, 0, 5, 2310, 5, 1, 0, 211, 96]  # unsorted, repeats and 0
+    for r in (0, 1, 4, 5, 9):
+        assert phi_mobius_row(ys, r) == [phi_mobius(y, r) for y in ys], r
+    assert phi_mobius_row([], 3) == []
+
+
+@pytest.mark.parametrize("y,r", [(-1, 2), (10, -2), (10, MAX_MOBIUS_R + 1)])
+def test_phi_mobius_row_raises_as_the_scalar(y, r):
+    with pytest.raises(ValueError) as scalar:
+        phi_mobius(y, r)
+    with pytest.raises(ValueError) as row:
+        phi_mobius_row([5, y, 3], r)
+    assert str(row.value) == str(scalar.value)
 
 
 def test_phi_scan_oracle_spot_agreement():

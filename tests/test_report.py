@@ -3,6 +3,7 @@ import math
 import os
 import re
 import signal
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -32,9 +33,12 @@ from twinprimes.report import (
     render_json,
     render_table,
     run_invariant_suite,
+    suite_points,
     table_points,
     table_rows,
 )
+
+import oracles
 
 
 def _rows(table_id, counts, cfg):
@@ -340,6 +344,26 @@ class TestInvariantSuite:
             check = suite.check(name)
             assert not check.passed and str(x) in check.detail, name
 
+    def test_phi_bound_grid_names_violations_in_order(self, sieve_1e4,
+                                                      monkeypatch):
+        # Two phantom primes push pi(y) past phi(y, r) + r wherever the
+        # bound is tight; the check must name the first five (y, r), in that
+        # order, that a scan gives on the column y = 1 (mod 3).
+        from twinprimes import report
+
+        real = report.small_primes
+        monkeypatch.setattr(report, "small_primes", lambda n: [1, 1, *real(n)])
+        check = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4)).check(
+            "phi_prime_count_bound_grid")
+        ys, pi = range(1, 10**4 + 1, 3), oracles.prime_prefix_counts(10**4)
+        primes = oracles.primes_upto_trial(29)
+        scans = [oracles.phi_scan_many(ys, r, primes) for r in range(11)]
+        bad = [(y, r) for y in ys for r in range(11)
+               if pi[y] + 2 > scans[r][y] + r]
+        assert bad[:5] == [(1, 0), (4, 1), (4, 2), (7, 1), (7, 2)]
+        assert (check.passed, check.detail) == (
+            False, f"violations at {bad[:5]}")
+
     def test_text_rendering_lists_every_check(self, suite_1e6):
         text = render_invariants_text(suite_1e6)
         assert text.count("[PASS]") + text.count("[FAIL]") == len(
@@ -376,10 +400,14 @@ _CHECK_STDOUT = (Path(__file__).parents[1] / "perfbench" / "data" / "golden"
 
 
 class TestSuiteWorkers:
-    @pytest.mark.parametrize("store", ["sieve_1e4", "sieve_1e6"])
+    # A store, or the counts at the suite's points up to a limit at which
+    # the r-rough table and both phi checks are clamped to the limit.
+    @pytest.mark.parametrize("store", ["sieve_1e4", "sieve_1e6",
+                                       50, 1999, 9999])
     def test_two_workers_give_the_same_checks_in_order(self, store, request,
                                                        monkeypatch):
-        sieve = request.getfixturevalue(store)
+        sieve = (request.getfixturevalue(store) if isinstance(store, str)
+                 else count_at(store, chain(*suite_points(store))))
         cfg = RunConfig(limit=sieve.limit)
         one = run_invariant_suite(sieve, cfg).checks
         forks = _counted_forks(monkeypatch)

@@ -441,6 +441,30 @@ def test_workers_are_reaped_and_killed_if_the_parent_fails(monkeypatch):
     _no_child_left()
 
 
+def test_a_second_ctrl_c_waits_until_the_worker_is_reaped(monkeypatch):
+    # The first SIGINT stops the caller's run; a second, sent as the worker
+    # is killed, is held until the worker is reaped, and then raised.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, kill = os.getpid(), os.kill
+
+    def work(ks):
+        if os.getpid() == parent:
+            kill(parent, signal.SIGINT)
+        for _ in ks:
+            time.sleep(60)  # interrupted, or killed, long before
+
+    def kill_then_interrupt(pid, sig):
+        kill(pid, sig)
+        kill(parent, signal.SIGINT)
+
+    monkeypatch.setattr(os, "kill", kill_then_interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sieve_mod._fan_out(work, 2, 2)
+    assert time.monotonic() - started < 30
+    _no_child_left()
+
+
 def _python(code, timeout):
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=timeout)
