@@ -13,15 +13,15 @@ _EXPORTS = {
     "config": ("RunConfig",),
     "counting": ("CountCheckpoint", "checkpoint_rows", "composed_count",
                  "count_primes", "count_twin_pairs"),
-    "estimators": ("BoundsRow", "EstimateRow", "SandwichCheck", "bounds_rows",
-                   "density_ratio", "estimate_rows", "hardy_littlewood_product",
+    "estimators": ("BoundsRow", "EstimateRow", "bounds_rows", "density_ratio",
+                   "estimate_rows", "hardy_littlewood_product",
                    "hardy_littlewood_simple", "log_grid", "mean_density_ratio",
-                   "round_half_away", "sandwich_bounds", "sandwich_check",
-                   "trost_bounds", "twin_count_estimate",
-                   "twin_prime_constant", "twin_ratio_product"),
-    "legendre": ("DensityBoundCheck", "DensityBoundParams", "PhiPrimeBound",
-                 "check_phi_pi_bound", "density_upper_bound", "first_primes",
-                 "phi_mobius", "phi_mobius_row", "phi_recursive"),
+                   "round_half_away", "sandwich_bounds", "trost_bounds",
+                   "twin_count_estimate", "twin_prime_constant",
+                   "twin_ratio_product"),
+    "legendre": ("DensityBoundCheck", "PhiPrimeBound", "check_phi_pi_bound",
+                 "density_upper_bound", "first_primes", "phi_mobius",
+                 "phi_mobius_row", "phi_recursive"),
     "report": ("AuditReport", "CrossTableConflict", "InvariantReport",
                "ReferenceCell", "audit_against_reference",
                "load_reference_tables", "run_invariant_suite"),

@@ -140,9 +140,7 @@ def _cmd_estimate(args) -> int:
     pi = counts.count_primes_upto(x)
     lo, up = estimators.trost_bounds(x)
     a, b = estimators.sandwich_bounds(x)
-    density = legendre.density_upper_bound(
-        counts, legendre.DensityBoundParams(c=1.0, y=x)
-    )
+    density = legendre.density_upper_bound(counts, 1.0, x)
     # Computed before the warning, so a refused pmax prints one error line.
     hl_simple = estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
     hl_product = estimators.hardy_littlewood_product(x, cfg.euler_pmax)

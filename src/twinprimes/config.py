@@ -1,4 +1,4 @@
-"""Run configuration, exit codes and `Validated`; imports no numpy."""
+"""Run configuration and exit codes; imports no numpy."""
 
 from __future__ import annotations
 
@@ -16,8 +16,26 @@ EXIT_INVARIANT_FAILURE = 2
 EXIT_REFERENCE_MISMATCH = 3
 
 
-class Validated:
-    """NamedTuple mixin: building, `_make` and `_replace` run `_validate`."""
+class _RunConfigFields(NamedTuple):
+    limit: int = 10**6
+    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
+    h_c: float = DEFAULT_H_C
+    euler_pmax: int = DEFAULT_EULER_PMAX
+    strict_paper: bool = False
+    threads: int = 1
+
+
+class RunConfig(_RunConfigFields):
+    """Everything a reproducible run depends on.
+
+    limit bounds the points a run reads: the reference rows up to it, or
+    the checkpoints.  The CLI counts at those points alone, sieving only
+    as far as the largest.  h_c is the estimator's calibrated density
+    ratio and euler_pmax the truncation bound of every Euler product.  The
+    thread count never changes an output byte; it only tunes the count
+    and the invariant suite.  Building, `_make` and `_replace` run
+    `_validate`.
+    """
 
     __slots__ = ()
 
@@ -29,29 +47,6 @@ class Validated:
     @classmethod
     def _make(cls, iterable):  # NamedTuple's (and _replace) skip __new__
         return cls(*iterable)
-
-
-class _RunConfigFields(NamedTuple):
-    limit: int = 10**6
-    checkpoints: tuple[int, ...] | None = None  # None: table's reference xs
-    h_c: float = DEFAULT_H_C
-    euler_pmax: int = DEFAULT_EULER_PMAX
-    strict_paper: bool = False
-    threads: int = 1
-
-
-class RunConfig(Validated, _RunConfigFields):
-    """Everything a reproducible run depends on.
-
-    limit bounds the points a run reads: the reference rows up to it, or
-    the checkpoints.  The CLI counts at those points alone, sieving only
-    as far as the largest.  h_c is the estimator's calibrated density
-    ratio and euler_pmax the truncation bound of every Euler product.  The
-    thread count never changes an output byte; it only tunes the count
-    and the invariant suite.
-    """
-
-    __slots__ = ()
 
     def _validate(self):
         if self.limit < 5:

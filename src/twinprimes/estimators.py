@@ -42,18 +42,6 @@ class BoundsRow(NamedTuple):
     b_bound: float
 
 
-class SandwichCheck(NamedTuple):
-    """Sandwich evaluation at x: bounds, both counts, and verdicts."""
-
-    x: int
-    a_bound: float
-    b_bound: float
-    pi2_x: int
-    pi_pi_x: int
-    holds: bool       # a_bound < pi_pi_x < b_bound
-    holds_pi2: bool   # a_bound < pi2_x  < b_bound
-
-
 class EstimateRow(NamedTuple):
     """One row of the estimator table, densities included."""
 
@@ -104,17 +92,6 @@ def sandwich_bounds(x: int) -> tuple[float, float]:
     a = 4 * x / (9 * lx * (lx - llx - LN_1_5))
     b = 64 * x / (25 * lx * (lx - llx + LN_1_6))
     return a, b
-
-
-def sandwich_check(sieve: Counts, x: int) -> SandwichCheck:
-    """Evaluate the sandwich at x against both pi(pi(x)) and pi2(x)."""
-    a, b = sandwich_bounds(x)
-    pi_x = sieve.count_primes_upto(x)
-    pi_pi_x = sieve.count_primes_upto(pi_x)
-    pi2_x = sieve.count_twins_upto(x)
-    return SandwichCheck(
-        x, a, b, pi2_x, pi_pi_x, a < pi_pi_x < b, a < pi2_x < b
-    )
 
 
 @lru_cache(maxsize=1)

@@ -22,7 +22,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .config import Validated
 from .sieve import Counts, small_primes
 
 MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
@@ -124,37 +123,6 @@ def check_phi_pi_bound(sieve: Counts, y: int, r: int) -> PhiPrimeBound:
     return PhiPrimeBound(y, r, pi_y, phi, pi_y <= phi + r)
 
 
-class _DensityBoundFields(NamedTuple):
-    c: float
-    y: int
-
-
-class DensityBoundParams(Validated, _DensityBoundFields):
-    """Parameters for the explicit prime-density upper bound with r = c*ln(y).
-
-    Requires c*ln(2) < 1 (so 2**r < y) and ln(c) + ln(ln(y)) > 0 (positive
-    denominator); violations are rejected up front.
-    """
-
-    __slots__ = ()
-
-    def _validate(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got c={self.c}")
-        if self.c * _LN2 >= 1:
-            raise ValueError(
-                f"c*ln(2) = {self.c * _LN2:.6f} must be < 1 (c < {1 / _LN2:.6f})"
-            )
-        if self.y < 2:
-            raise ValueError(f"y must be >= 2, got y={self.y}")
-        if math.log(self.c) + math.log(math.log(self.y)) <= 0:
-            raise ValueError(
-                "ln(c) + ln(ln(y)) = "
-                f"{math.log(self.c) + math.log(math.log(self.y)):.6f} "
-                "must be > 0"
-            )
-
-
 class DensityBoundCheck(NamedTuple):
     r: float  # c * ln(y)
     bound: float
@@ -162,11 +130,23 @@ class DensityBoundCheck(NamedTuple):
     holds: bool
 
 
-def density_upper_bound(
-    sieve: Counts, params: DensityBoundParams
-) -> DensityBoundCheck:
-    """Check pi(y)/y < 1/(ln(c) + ln(ln(y))) + 2*y**(c*ln(2) - 1)."""
-    c, y = params.c, params.y
-    bound = 1.0 / (math.log(c) + math.log(math.log(y))) + 2.0 * y ** (c * _LN2 - 1.0)
+def density_upper_bound(sieve: Counts, c: float, y: int) -> DensityBoundCheck:
+    """Check pi(y)/y < 1/(ln(c) + ln(ln(y))) + 2*y**(c*ln(2) - 1), r = c*ln(y).
+
+    Requires c*ln(2) < 1 (so 2**r < y) and ln(c) + ln(ln(y)) > 0 (positive
+    denominator); violations are rejected up front.
+    """
+    if c <= 0:
+        raise ValueError(f"c must be positive, got c={c}")
+    if c * _LN2 >= 1:
+        raise ValueError(
+            f"c*ln(2) = {c * _LN2:.6f} must be < 1 (c < {1 / _LN2:.6f})"
+        )
+    if y < 2:
+        raise ValueError(f"y must be >= 2, got y={y}")
+    denominator = math.log(c) + math.log(math.log(y))
+    if denominator <= 0:
+        raise ValueError(f"ln(c) + ln(ln(y)) = {denominator:.6f} must be > 0")
+    bound = 1.0 / denominator + 2.0 * y ** (c * _LN2 - 1.0)
     actual = sieve.count_primes_upto(y) / y
     return DensityBoundCheck(c * math.log(y), bound, actual, actual < bound)

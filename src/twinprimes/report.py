@@ -432,10 +432,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> InvariantReport:
         bad = []
         for c in (0.8, 1.0, 1.2, 1.4):
             for y in decades or grid[-1:]:  # the limit, below 1000
-                chk = legendre.density_upper_bound(
-                    sieve, legendre.DensityBoundParams(c=c, y=y)
-                )
-                if not chk.holds:
+                if not legendre.density_upper_bound(sieve, c, y).holds:
                     bad.append((c, y))
         yield InvariantCheck(
             "density_upper_bound_grid", not bad,

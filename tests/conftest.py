@@ -5,18 +5,37 @@ from twinprimes import build_sieve
 import oracles
 
 
+# Counts that share no code with the package, for every test that reads
+# pi and pi2 through a store's interface.
 @pytest.fixture(scope="session")
 def sieve_1e4():
-    return build_sieve(10**4)
+    return oracles.PrefixCounts(10**4)
 
 
 @pytest.fixture(scope="session")
 def sieve_1e5():
-    return build_sieve(10**5)
+    return oracles.PrefixCounts(10**5)
 
 
 @pytest.fixture(scope="session")
 def sieve_1e6():
+    return oracles.PrefixCounts(10**6)
+
+
+# Stores, for the tests of what only a store has: primes_between, its
+# SieveRangeError, the PrimeSieve methods.
+@pytest.fixture(scope="session")
+def store_1e4():
+    return build_sieve(10**4)
+
+
+@pytest.fixture(scope="session")
+def store_1e5():
+    return build_sieve(10**5)
+
+
+@pytest.fixture(scope="session")
+def store_1e6():
     return build_sieve(10**6)
 
 

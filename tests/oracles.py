@@ -8,7 +8,10 @@ for products.  Expected values frozen into tests were produced by these.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 
 
 def is_prime_trial(n: int) -> bool:
@@ -50,6 +53,33 @@ def twin_prefix_counts(limit: int) -> list[int]:
             running += 1
         counts[n] = running
     return counts
+
+
+class PrefixCounts:
+    """pi(x) and pi2(x) for every 2 <= x <= limit, from a plain sieve of
+    Eratosthenes over every integer; any other x raises ValueError."""
+
+    def __init__(self, limit: int):
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+        self.limit = limit
+        self._primes = list(compress(range(limit + 1), flags))
+        # The upper member q + 2 of each twin pair (q, q + 2).
+        self._twin_tops = [p for p in self._primes if p > 3 and flags[p - 2]]
+
+    def _upto(self, values: list[int], x: int) -> int:
+        if not 2 <= x <= self.limit:
+            raise ValueError(f"x={x} outside [2, {self.limit}]")
+        return bisect_right(values, x)
+
+    def count_primes_upto(self, x: int) -> int:
+        return self._upto(self._primes, x)
+
+    def count_twins_upto(self, x: int) -> int:
+        return self._upto(self._twin_tops, x)
 
 
 def phi_scan(y: int, r: int, primes: list[int]) -> int:

@@ -43,13 +43,13 @@ def test_pair_straddling_x_is_excluded(sieve_1e4):
     assert count_twin_pairs(sieve_1e4, 151) == 12
 
 
-def test_count_range_errors(sieve_1e4):
+def test_count_range_errors(store_1e4):
     with pytest.raises(SieveRangeError):
-        count_primes(sieve_1e4, 10**4 + 1)
+        count_primes(store_1e4, 10**4 + 1)
     with pytest.raises(SieveRangeError):
-        count_primes(sieve_1e4, 1)
+        count_primes(store_1e4, 1)
     with pytest.raises(SieveRangeError):
-        count_twin_pairs(sieve_1e4, 4)
+        count_twin_pairs(store_1e4, 4)
 
 
 def test_composed_count_values(sieve_1e6):
@@ -91,9 +91,9 @@ def test_checkpoint_rows_validation(sieve_1e4):
         checkpoint_rows(sieve_1e4, [50, 10**4 + 1])
 
 
-def test_counts_never_decrease_dense(sieve_1e6):
+def test_counts_never_decrease_dense(store_1e6):
     prime_flags = np.zeros(10**6 + 1, dtype=np.int64)
-    prime_flags[sieve_1e6.primes_between(2, 10**6)] = 1
+    prime_flags[store_1e6.primes_between(2, 10**6)] = 1
     prime_cum = np.cumsum(prime_flags)  # prime_cum[x] = pi(x)
     assert np.all(np.diff(prime_cum) >= 0)
     # twin_cum[x] counts the pairs (p, p + 2) with p + 2 <= x
@@ -102,8 +102,8 @@ def test_counts_never_decrease_dense(sieve_1e6):
     assert np.all(np.diff(twin_cum) >= 0)
     # tie the dense arrays back to the public API at a few points
     for x in (5, 17, 1000, 54321, 10**6):
-        assert count_primes(sieve_1e6, x) == int(prime_cum[x])
-        assert count_twin_pairs(sieve_1e6, x) == int(twin_cum[x])
+        assert count_primes(store_1e6, x) == int(prime_cum[x])
+        assert count_twin_pairs(store_1e6, x) == int(twin_cum[x])
 
 
 def test_twin_count_never_exceeds_prime_count(sieve_1e6):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinprimes import (
-    DensityBoundParams,
     EstimateRow,
     RunConfig,
     bounds_rows,
@@ -18,7 +17,6 @@ from twinprimes import (
     mean_density_ratio,
     round_half_away,
     sandwich_bounds,
-    sandwich_check,
     trost_bounds,
     twin_count_estimate,
     small_primes,
@@ -96,16 +94,18 @@ class TestSandwichBounds:
         assert 0 < a < b
 
     def test_check_against_counts(self, sieve_1e6):
-        chk = sandwich_check(sieve_1e6, 500)
-        assert round_half_away(chk.a_bound) == 9
-        assert round_half_away(chk.b_bound) == 42
-        assert chk.pi2_x == 24 and chk.pi_pi_x == 24
-        assert chk.holds and chk.holds_pi2
+        a, b = sandwich_bounds(500)
+        assert round_half_away(a) == 9 and round_half_away(b) == 42
+        pi_pi = sieve_1e6.count_primes_upto(sieve_1e6.count_primes_upto(500))
+        pi2 = sieve_1e6.count_twins_upto(500)
+        assert pi2 == 24 and pi_pi == 24
+        assert a < pi_pi < b and a < pi2 < b
 
     def test_check_at_smallest_x(self, sieve_1e6):
-        chk = sandwich_check(sieve_1e6, 5)
-        assert chk.holds          # a < pi(pi(5)) = 2 < b
-        assert not chk.holds_pi2  # pi2(5) = 1 sits below a ~ 1.90
+        a, b = sandwich_bounds(5)
+        assert a < sieve_1e6.count_primes_upto(3) == 2 < b  # pi(pi(5)) = pi(3)
+        assert sieve_1e6.count_primes_upto(5) == 3
+        assert sieve_1e6.count_twins_upto(5) == 1 < a  # a ~ 1.90
 
     def test_rows_builder(self, sieve_1e5):
         rows = bounds_rows(sieve_1e5, [50, 500, 10**4])
@@ -307,8 +307,6 @@ class TestEstimateRows:
             RunConfig(h_c=math.inf)
         with pytest.raises(ValueError):
             RunConfig(euler_pmax=99)
-        with pytest.raises(ValueError):
-            DensityBoundParams(c=1.5, y=1000)
 
 
 def test_log_grid_shape():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinprimes import (
-    DensityBoundParams,
     check_phi_pi_bound,
     density_upper_bound,
     first_primes,
@@ -181,23 +180,35 @@ def test_prime_count_bound_small_grid(sieve_1e4):
             assert check_phi_pi_bound(sieve_1e4, y, r).bound_ok, (y, r)
 
 
-def test_density_params_reject_large_c():
+def test_density_params_reject_large_c(sieve_1e6):
     with pytest.raises(ValueError) as err:
-        DensityBoundParams(c=1.5, y=10**6)
-    assert "ln(2)" in str(err.value)
-    DensityBoundParams(c=1.4, y=10**6)  # 1.4*ln(2) < 1: fine
+        density_upper_bound(sieve_1e6, 1.5, 10**6)
+    assert str(err.value) == "c*ln(2) = 1.039721 must be < 1 (c < 1.442695)"
+    assert density_upper_bound(sieve_1e6, 1.4, 10**6).holds  # 1.4*ln(2) < 1
 
 
-def test_density_params_reject_nonpositive_denominator():
+def test_density_params_reject_nonpositive_denominator(sieve_1e6):
     with pytest.raises(ValueError) as err:
-        DensityBoundParams(c=1.0, y=2)
-    assert "ln(c) + ln(ln(y))" in str(err.value)
-    with pytest.raises(ValueError):
-        DensityBoundParams(c=-1.0, y=10**6)
+        density_upper_bound(sieve_1e6, 1.0, 2)
+    assert str(err.value) == "ln(c) + ln(ln(y)) = -0.366513 must be > 0"
+
+
+@pytest.mark.parametrize("c,y,message", [
+    (0.0, 10**6, "c must be positive, got c=0.0"),
+    (-1.0, 10**6, "c must be positive, got c=-1.0"),
+    (1.0, 1, "y must be >= 2, got y=1"),
+    (1.0, 0, "y must be >= 2, got y=0"),
+], ids=["c=0", "c=-1", "y=1", "y=0"])
+def test_density_params_reject_nonpositive_c_and_small_y(sieve_1e6, c, y,
+                                                         message):
+    # Refused before any count is read: y = 0 and 1 lie outside the counts.
+    with pytest.raises(ValueError) as err:
+        density_upper_bound(sieve_1e6, c, y)
+    assert str(err.value) == message
 
 
 def test_density_bound_value_at_reference_point(sieve_1e6):
-    chk = density_upper_bound(sieve_1e6, DensityBoundParams(c=1.0, y=10**6))
+    chk = density_upper_bound(sieve_1e6, 1.0, 10**6)
     # frozen from 40-digit evaluation of 1/ln(ln(1e6)) + 2*1e6**(ln2 - 1)
     assert chk.bound == pytest.approx(0.4096720326725310, rel=1e-12)
     assert chk.actual == pytest.approx(0.078498, rel=1e-12)
@@ -208,6 +219,4 @@ def test_density_bound_value_at_reference_point(sieve_1e6):
 def test_density_bound_grid(sieve_1e6):
     for c in (0.8, 1.0, 1.2, 1.4):
         for y in (10**3, 10**4, 10**5, 10**6):
-            assert density_upper_bound(
-                sieve_1e6, DensityBoundParams(c=c, y=y)
-            ).holds, (c, y)
+            assert density_upper_bound(sieve_1e6, c, y).holds, (c, y)

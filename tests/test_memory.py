@@ -8,6 +8,11 @@ a child of the test process would start from the test process's peak; the
 measured child is therefore started by a small intermediate interpreter.
 A pass on two workers forks one of them; the memory it takes is the
 parent's growth plus each forked worker's own.
+
+Every measured child reads its bytecode from one private cache, primed
+once for the module.  Without it, under PYTHONDONTWRITEBYTECODE a child
+with no ``__pycache__`` to read compiles what it imports, and that compile
+peak raises the peak RSS it starts from, so a build's growth reads low.
 """
 
 import json
@@ -24,6 +29,28 @@ pytestmark = pytest.mark.skipif(
 )
 
 _LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+# Writes the bytecode of the package and of what the measured children
+# import (the standard library's and numpy's included: a cache prefix is
+# read in place of every __pycache__ directory).
+_PRIME = """
+import compileall, json, os, pickle, resource, signal, subprocess
+import numpy
+import twinprimes.cli, twinprimes.report
+compileall.compile_dir(os.path.dirname(twinprimes.__file__), quiet=1)
+"""
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm_bytecode_cache(tmp_path_factory):
+    prefix = str(tmp_path_factory.mktemp("pycache"))
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-c", _PRIME], check=True, timeout=300,
+                   env={**env, "PYTHONPYCACHEPREFIX": prefix})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPYCACHEPREFIX", prefix)
+        yield
 
 # Installed in a measured interpreter: each forked worker sends the growth
 # of its VmHWM over its RSS at its first window, keyed by the pass's limit;

@@ -6,6 +6,7 @@ NamedTuples."""
 
 import functools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,19 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from twinprimes import *", namespace)
     assert set(twinprimes.__all__) <= set(namespace)
+
+
+def test_what_the_query_benchmark_reads_resolves():
+    # perfbench/query.py reads tp.<name> off the package and asks the store
+    # it builds for ranges and counts; perfbench/tracing.py wraps the
+    # store's methods.  A deletion that breaks either fails here.
+    query = (Path(__file__).parents[1] / "perfbench" / "query.py").read_text()
+    names = set(re.findall(r"\btp\.(\w+)", query))
+    assert "build_sieve" in names
+    for name in names:
+        assert callable(getattr(twinprimes, name)), name
+    for method in ("primes_between", "count_primes_upto", "count_twins_upto"):
+        assert callable(getattr(twinprimes.sieve.PrimeSieve, method)), method
 
 
 def test_submodules_resolve_by_name():

@@ -1,6 +1,6 @@
-"""Every public record is an immutable NamedTuple; the two that carry checks
-run them on construction, `_make` and `_replace` alike; and `_asdict()`
-gives the keys in the order the json goldens print them."""
+"""Every public record is an immutable NamedTuple; `RunConfig` runs its
+checks on construction, `_make` and `_replace` alike; and `_asdict()` gives
+the keys in the order the json goldens print them."""
 
 import json
 from pathlib import Path
@@ -9,7 +9,6 @@ import pytest
 
 import twinprimes
 from twinprimes import (
-    DensityBoundParams,
     RunConfig,
     audit_against_reference,
     bounds_rows,
@@ -18,7 +17,6 @@ from twinprimes import (
     density_upper_bound,
     estimate_rows,
     run_invariant_suite,
-    sandwich_check,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -30,13 +28,11 @@ def records(sieve_1e4):
     audit = audit_against_reference(sieve_1e4, RunConfig(limit=10**4))
     instances = [
         RunConfig(),
-        DensityBoundParams(c=1.0, y=1000),
         checkpoint_rows(sieve_1e4, [1000])[0],
         bounds_rows(sieve_1e4, [1000])[0],
-        sandwich_check(sieve_1e4, 1000),
         estimate_rows(sieve_1e4, [1000])[0],
         check_phi_pi_bound(sieve_1e4, 1000, 3),
-        density_upper_bound(sieve_1e4, DensityBoundParams(c=1.0, y=1000)),
+        density_upper_bound(sieve_1e4, 1.0, 1000),
         audit.cells[0],
         audit.conflicts[0],
         run_invariant_suite(sieve_1e4, RunConfig(limit=10**4)).checks[0],
@@ -64,27 +60,32 @@ def test_assigning_a_field_is_an_attribute_error(records):
         assert not hasattr(record, "__dict__"), name
 
 
-# name: (record, valid fields, a bad value)
+# name: (valid fields, a bad value)
 _BAD = {
-    "h_c=0": (RunConfig, {}, {"h_c": 0}),
-    "euler_pmax=99": (RunConfig, {}, {"euler_pmax": 99}),
-    "checkpoints-decrease": (RunConfig, {"limit": 10**4},
-                             {"checkpoints": (100, 50)}),
-    "checkpoints-repeat": (RunConfig, {"limit": 10**4},
-                           {"checkpoints": (50, 50)}),
-    "c*ln2>=1": (DensityBoundParams, {"c": 1.0, "y": 1000}, {"c": 1.5}),
+    "h_c=0": ({}, {"h_c": 0}),
+    "euler_pmax=99": ({}, {"euler_pmax": 99}),
+    "checkpoints-decrease": ({"limit": 10**4}, {"checkpoints": (100, 50)}),
+    "checkpoints-repeat": ({"limit": 10**4}, {"checkpoints": (50, 50)}),
 }
 
 
-@pytest.mark.parametrize("cls,good,bad", _BAD.values(), ids=list(_BAD))
-def test_bad_values_are_refused_on_construction_and_replace(cls, good, bad):
-    record = cls(**good)
+@pytest.mark.parametrize("good,bad", _BAD.values(), ids=list(_BAD))
+def test_bad_values_are_refused_on_construction_and_replace(good, bad):
+    record = RunConfig(**good)
     with pytest.raises(ValueError):
-        cls(**{**good, **bad})
+        RunConfig(**{**good, **bad})
     with pytest.raises(ValueError):
         record._replace(**bad)
     with pytest.raises(ValueError):
-        cls._make([bad.get(f, v) for f, v in zip(cls._fields, record)])
+        RunConfig._make([bad.get(f, v) for f, v in zip(RunConfig._fields,
+                                                        record)])
+
+
+def test_density_bound_refuses_c_ln2_at_least_one(sieve_1e4):
+    # The parameters are plain arguments, checked on every call.
+    density_upper_bound(sieve_1e4, 1.0, 1000)
+    with pytest.raises(ValueError, match=r"^c\*ln\(2\) = 1\.039721 must be"):
+        density_upper_bound(sieve_1e4, 1.5, 1000)
 
 
 def test_replace_keeps_the_type_and_the_other_fields():
@@ -92,8 +93,6 @@ def test_replace_keeps_the_type_and_the_other_fields():
     new = cfg._replace(limit=10**5, checkpoints=(10, 100))
     assert type(new) is RunConfig
     assert new == RunConfig(limit=10**5, checkpoints=(10, 100), h_c=1.5)
-    params = DensityBoundParams(c=1.0, y=1000)._replace(y=10**4)
-    assert type(params) is DensityBoundParams and params.y == 10**4
 
 
 # record: (golden file, the keys down to its list of records)

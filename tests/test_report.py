@@ -326,7 +326,7 @@ class TestInvariantSuite:
         assert suite.check("trost_bounds_grid").passed
         assert suite.check("sandwich_grid").passed
 
-    def test_grid_checks_report_wrong_counts(self, sieve_1e4, monkeypatch):
+    def test_grid_checks_report_wrong_counts(self, store_1e4, monkeypatch):
         # Wrong pi and pi2 at the grid point 3060, also one of the probed
         # points, and a wrong pi2 at the decade 1000: each check that reads
         # them must fail and name the x.
@@ -336,7 +336,7 @@ class TestInvariantSuite:
                             lambda s, x: wrong_pi.get(x) or pi(s, x))
         monkeypatch.setattr(PrimeSieve, "count_twins_upto",
                             lambda s, x: wrong_pi2.get(x) or pi2(s, x))
-        suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))
+        suite = run_invariant_suite(store_1e4, RunConfig(limit=10**4))
         for name, x in (("trost_bounds_grid", 3060), ("sandwich_grid", 3060),
                         ("h_ratio_cap_grid", 3060),
                         ("count_monotonicity", 3060),

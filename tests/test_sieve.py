@@ -54,17 +54,17 @@ def test_memory_budget_refusal_reports_requirement(monkeypatch):
     assert "bytes" in str(err.value)
 
 
-def test_is_prime_matches_trial_division_exhaustively(sieve_1e5):
+def test_is_prime_matches_trial_division_exhaustively(store_1e5):
     # Every n up to 10**5 is listed iff trial division finds it prime.
-    assert sieve_1e5.primes_between(2, 10**5).tolist() == [
+    assert store_1e5.primes_between(2, 10**5).tolist() == [
         n for n in range(2, 10**5 + 1) if oracles.is_prime_trial(n)]
 
 
 @pytest.mark.parametrize(
     "n,expected", [(97, True), (2, True), (91, False), (100, False), (7919, True)]
 )
-def test_is_prime_spot_values(sieve_1e4, n, expected):
-    assert (sieve_1e4.primes_between(n, n).tolist() == [n]) is expected
+def test_is_prime_spot_values(store_1e4, n, expected):
+    assert (store_1e4.primes_between(n, n).tolist() == [n]) is expected
 
 
 def test_primes_between_full_small_range():
@@ -187,14 +187,14 @@ def test_repeated_builds_are_deterministic():
     assert np.array_equal(a._planes, b._planes)
 
 
-def test_concurrent_reads_agree_with_serial(sieve_1e5):
+def test_concurrent_reads_agree_with_serial(store_1e5):
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(7)
     probes = rng.integers(2, 10**5 + 1, size=2000).tolist()
 
     def is_listed(n):
-        return sieve_1e5.primes_between(n, n).size == 1
+        return store_1e5.primes_between(n, n).size == 1
 
     expected = [is_listed(n) for n in probes]
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -202,24 +202,24 @@ def test_concurrent_reads_agree_with_serial(sieve_1e5):
     assert got == expected
 
 
-def test_enumeration_count_agrees_with_prefix_count(sieve_1e4):
+def test_enumeration_count_agrees_with_prefix_count(store_1e4):
     rng = np.random.default_rng(42)
     for x in rng.integers(2, 10**4 + 1, size=100).tolist():
-        assert len(sieve_1e4.primes_between(2, x)) == sieve_1e4.count_primes_upto(x)
+        assert len(store_1e4.primes_between(2, x)) == store_1e4.count_primes_upto(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(lo=st.integers(2, 10**4), span=st.integers(0, 500))
-def test_primes_between_consistent_with_counts(sieve_1e4, lo, span):
+def test_primes_between_consistent_with_counts(store_1e4, lo, span):
     hi = min(lo + span, 10**4)
-    ps = sieve_1e4.primes_between(lo, hi)
+    ps = store_1e4.primes_between(lo, hi)
     assert list(ps) == sorted(set(ps.tolist()))
     # Each listed p is where pi steps up (pi(1) = 0).
-    assert all(sieve_1e4.count_primes_upto(p) - (
-        sieve_1e4.count_primes_upto(p - 1) if p > 2 else 0) == 1
+    assert all(store_1e4.count_primes_upto(p) - (
+        store_1e4.count_primes_upto(p - 1) if p > 2 else 0) == 1
         for p in ps.tolist())
-    expected = sieve_1e4.count_primes_upto(hi) - (
-        sieve_1e4.count_primes_upto(lo - 1) if lo > 2 else 0
+    expected = store_1e4.count_primes_upto(hi) - (
+        store_1e4.count_primes_upto(lo - 1) if lo > 2 else 0
     )
     assert len(ps) == expected
 
@@ -675,6 +675,21 @@ def test_store_and_pass_match_the_oracles_at_window_and_block_edges(
     for x in xs:
         want = (trial_pi_1e4[x], trial_twin_1e4[x])
         assert (sieve.count_primes_upto(x), sieve.count_twins_upto(x)) == want
+        assert (counts.count_primes_upto(x),
+                counts.count_twins_upto(x)) == want, x
+
+
+def test_store_and_pass_match_the_prefix_oracle_at_1e6(store_1e6, sieve_1e6):
+    # The report, estimator and Legendre tests read the oracle; here the
+    # store and a count pass answer as it does at 10**6.
+    rng = np.random.default_rng(2)
+    xs = sorted({*rng.integers(2, 10**6 + 1, size=2000).tolist(),
+                 *(10**k for k in range(1, 7)), 2, 3, 4, 5, 10**6 - 1})
+    counts = count_at(10**6, xs)
+    for x in xs:
+        want = (sieve_1e6.count_primes_upto(x), sieve_1e6.count_twins_upto(x))
+        assert (store_1e6.count_primes_upto(x),
+                store_1e6.count_twins_upto(x)) == want, x
         assert (counts.count_primes_upto(x),
                 counts.count_twins_upto(x)) == want, x
 
