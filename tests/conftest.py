@@ -5,8 +5,8 @@ from twinprimes import build_sieve
 import oracles
 
 
-# Counts that share no code with the package, for every test that reads
-# pi and pi2 through a store's interface.
+# Counts that share no code with the package, for the tests whose subject
+# is what is computed from pi and pi2 (bounds, estimators, reports).
 @pytest.fixture(scope="session")
 def sieve_1e4():
     return oracles.PrefixCounts(10**4)
@@ -22,8 +22,9 @@ def sieve_1e6():
     return oracles.PrefixCounts(10**6)
 
 
-# Stores, for the tests of what only a store has: primes_between, its
-# SieveRangeError, the PrimeSieve methods.
+# Stores, for the tests whose subject is the package's own counts (the
+# counting and acceptance suites) and for what only a store has:
+# primes_between, its SieveRangeError, the PrimeSieve methods.
 @pytest.fixture(scope="session")
 def store_1e4():
     return build_sieve(10**4)

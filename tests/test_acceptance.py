@@ -50,8 +50,8 @@ def verdict(cid: str, label: str, failures: list[str], detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def audit(sieve_1e6):
-    return audit_against_reference(sieve_1e6, RunConfig())
+def audit(store_1e6):
+    return audit_against_reference(store_1e6, RunConfig())
 
 
 @pytest.fixture(scope="module")
@@ -79,17 +79,17 @@ def test_c01_exact_counts_within_time_budget():
     verdict("C1", "exact counts at 10^6", failures, f"build {elapsed * 1e3:.0f} ms")
 
 
-def test_c02_oracle_equivalence_to_1e4(sieve_1e4):
+def test_c02_oracle_equivalence_to_1e4(store_1e4):
     t0 = time.perf_counter()
     pi_oracle = oracles.prime_prefix_counts(10**4)
     twin_oracle = oracles.twin_prefix_counts(10**4)
     failures = []
     for x in range(2, 10**4 + 1):
-        if sieve_1e4.count_primes_upto(x) != pi_oracle[x]:
+        if store_1e4.count_primes_upto(x) != pi_oracle[x]:
             failures.append(f"pi({x}) != oracle {pi_oracle[x]}")
             break
     for x in range(5, 10**4 + 1):
-        if sieve_1e4.count_twins_upto(x) != twin_oracle[x]:
+        if store_1e4.count_twins_upto(x) != twin_oracle[x]:
             failures.append(f"pi2({x}) != oracle {twin_oracle[x]}")
             break
     elapsed = time.perf_counter() - t0
@@ -99,16 +99,16 @@ def test_c02_oracle_equivalence_to_1e4(sieve_1e4):
             f"{elapsed:.2f} s")
 
 
-def test_c03_hypothesis_table_ratios_and_errata(sieve_1e6, audit):
+def test_c03_hypothesis_table_ratios_and_errata(store_1e6, audit):
     failures = []
     qualifying = []
     for row in REF["table1"]["rows"]:
         x = row["x"]
-        pi = sieve_1e6.count_primes_upto(x)
-        pi2 = sieve_1e6.count_twins_upto(x)
+        pi = store_1e6.count_primes_upto(x)
+        pi2 = store_1e6.count_twins_upto(x)
         if pi == row["pi_x"] and pi2 == row["pi2_x"]:
             qualifying.append(x)
-            ratio = pi2 / sieve_1e6.count_primes_upto(pi)
+            ratio = pi2 / store_1e6.count_primes_upto(pi)
             if abs(ratio - row["ratio"]) >= 1e-3:
                 failures.append(
                     f"x={x}: ratio {ratio:.6f} vs published {row['ratio']}"
@@ -133,11 +133,11 @@ def test_c03_hypothesis_table_ratios_and_errata(sieve_1e6, audit):
             failures, f"{len(qualifying)} qualifying rows")
 
 
-def test_c04a_sandwich_holds_across_log_grid(sieve_1e6):
+def test_c04a_sandwich_holds_across_log_grid(store_1e6):
     failures = []
     for x in log_grid(5, 10**6, 200).tolist():
         a, b = sandwich_bounds(x)
-        pi_pi = sieve_1e6.count_primes_upto(sieve_1e6.count_primes_upto(x))
+        pi_pi = store_1e6.count_primes_upto(store_1e6.count_primes_upto(x))
         if not a < pi_pi < b:
             failures.append(f"x={x}: A={a:.3f} pi_pi={pi_pi} B={b:.3f}")
     verdict("C4a", "A < pi(pi(x)) < B at 200 grid points", failures,
@@ -169,18 +169,18 @@ def test_c04b_bounds_columns_reproduce_published_table():
             failures)
 
 
-def test_c05_trost_bounds_across_log_grid(sieve_1e6):
+def test_c05_trost_bounds_across_log_grid(store_1e6):
     failures = []
     for x in log_grid(5, 10**6, 200).tolist():
         lo, up = trost_bounds(x)
-        pi = sieve_1e6.count_primes_upto(x)
+        pi = store_1e6.count_primes_upto(x)
         if not lo < pi < up:
             failures.append(f"x={x}: {lo:.2f} vs pi={pi} vs {up:.2f}")
     verdict("C5", "2x/(3 ln x) < pi(x) < 8x/(5 ln x) on grid", failures,
             "0 violations")
 
 
-def test_c06_phi_routes_and_prime_count_bound(sieve_1e4):
+def test_c06_phi_routes_and_prime_count_bound(store_1e4):
     t0 = time.perf_counter()
     failures = []
     primes = first_primes(7)
@@ -196,7 +196,7 @@ def test_c06_phi_routes_and_prime_count_bound(sieve_1e4):
                 break
     for y in range(1, 10**4 + 1):
         for r in range(0, 11):
-            if not check_phi_pi_bound(sieve_1e4, y, r).bound_ok:
+            if not check_phi_pi_bound(store_1e4, y, r).bound_ok:
                 failures.append(f"pi(y) <= phi+r fails at (y={y}, r={r})")
                 break
     elapsed = time.perf_counter() - t0
@@ -206,31 +206,31 @@ def test_c06_phi_routes_and_prime_count_bound(sieve_1e4):
             failures, f"{elapsed:.1f} s")
 
 
-def test_c07_density_bound_and_ratio_cap(sieve_1e6):
+def test_c07_density_bound_and_ratio_cap(store_1e6):
     failures = []
     for c in (0.8, 1.0, 1.2, 1.4):
         for y in (10**3, 10**4, 10**5, 10**6):
-            chk = density_upper_bound(sieve_1e6, c, y)
+            chk = density_upper_bound(store_1e6, c, y)
             if not chk.holds:
                 failures.append(f"(c={c}, y={y}): {chk.actual} >= {chk.bound}")
     for x in log_grid(5, 10**6, 200).tolist():
-        pi2 = sieve_1e6.count_twins_upto(x)
+        pi2 = store_1e6.count_twins_upto(x)
         if pi2 > 0:
-            h = density_ratio(x, sieve_1e6.count_primes_upto(x), pi2)
+            h = density_ratio(x, store_1e6.count_primes_upto(x), pi2)
             if not 0 < h < 5.12:
                 failures.append(f"h({x}) = {h}")
     verdict("C7", "density bound grid and 0 < h < 5.12", failures,
             "0 violations")
 
 
-def test_c08a_estimator_column_reproduces_published_values(sieve_1e6):
+def test_c08a_estimator_column_reproduces_published_values(store_1e6):
     # Known failing at x = 15000: with the published pi(15000) = 1754 (which
     # our sieve confirms), round(1.325067 * 1754**2 / 15000) = 272, yet the
     # published column prints 274 -- inconsistent with its own h row.
     failures = []
     for row in REF["table3"]["rows"]:
         star = twin_count_estimate(
-            row["x"], sieve_1e6.count_primes_upto(row["x"]), H_C
+            row["x"], store_1e6.count_primes_upto(row["x"]), H_C
         )
         if star != row["pi2_star"]:
             failures.append(
@@ -240,13 +240,13 @@ def test_c08a_estimator_column_reproduces_published_values(sieve_1e6):
             failures)
 
 
-def test_c08b_estimator_relative_error_within_envelope(sieve_1e6):
+def test_c08b_estimator_relative_error_within_envelope(store_1e6):
     # Known failing at x = 5000: the published twin count there (123) is an
     # undercount; the true count is 126, so the honest relative error is
     # 7/126 = 0.0556, outside the stated 0.04 envelope.
     failures = []
     xs = [row["x"] for row in REF["table3"]["rows"]]
-    rows = estimate_rows(sieve_1e6, xs, H_C)
+    rows = estimate_rows(store_1e6, xs, H_C)
     for row in rows:
         if row.rel_error > 0.04:
             failures.append(
@@ -256,9 +256,9 @@ def test_c08b_estimator_relative_error_within_envelope(sieve_1e6):
     verdict("C8b", "estimator relative error <= 0.04 at every row", failures)
 
 
-def test_c09_recalibrated_mean_stays_close(sieve_1e6):
+def test_c09_recalibrated_mean_stays_close(store_1e6):
     xs = [row["x"] for row in REF["table3"]["rows"]]
-    mean = mean_density_ratio(estimate_rows(sieve_1e6, xs))
+    mean = mean_density_ratio(estimate_rows(store_1e6, xs))
     failures = []
     if not abs(mean - H_C) <= 0.02:
         failures.append(f"mean h = {mean:.6f} vs {H_C} +- 0.02")
