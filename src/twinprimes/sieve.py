@@ -20,6 +20,7 @@ import math
 import os
 from array import array
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle
 from typing import TYPE_CHECKING
 
@@ -31,8 +32,9 @@ if TYPE_CHECKING:
 # 10**9 took 13-38% longer at 2**19 and 2**21 (2-vCPU x86_64, medians).
 SEGMENT_SIZE = 1 << 20
 
-# The most a process may hold: build_sieve, count_at and small_primes
-# refuse, before allocating, a run that could pass it.  Tests may patch it.
+# The most a process may hold: build_sieve, count_at, small_primes and
+# prime_flags refuse, before allocating, a run that could pass it.  Tests
+# may patch it.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 # The pre-sieve primes; their pattern repeats every _PERIOD j-values.
@@ -98,8 +100,8 @@ def _plane_flags(limit: int) -> tuple[bytearray, bytearray]:
 def small_primes(limit: int, *, held_bytes: int = 0) -> array:
     """All primes <= limit, as array('q'), from one unsegmented sieve.
 
-    Bootstrap helper for the segmented sieve and for Euler products; fine up
-    to a few 10**7, do not use for the main store.  Refuses, before
+    Bootstrap helper for the segmented sieve and for small prime tables;
+    fine up to a few 10**7, do not use for the main store.  Refuses, before
     allocating, a limit whose arrays, plus the held_bytes that the caller
     builds from them, could take the process past DEFAULT_MEMORY_BUDGET.
     """
@@ -110,13 +112,26 @@ def small_primes(limit: int, *, held_bytes: int = 0) -> array:
     required = held_bytes + 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
     _admit(required, DEFAULT_MEMORY_BUDGET)
+    return array("q", chain((2, 3)[: limit - 1], compress(
+        accumulate(cycle((2, 4)), initial=5), _interleaved(limit))))
+
+
+def _interleaved(limit: int) -> bytearray:
+    """The planes of _plane_flags interleaved, so flag i is 1 iff the i-th
+    of 5, 7, 11, 13, ... (A[0], B[0], A[1], B[1], ...) is prime."""
     a, b = _plane_flags(limit)
-    # 5, 7, 11, 13, ...: A[0], B[0], A[1], B[1], ...
     flags = bytearray(len(a) + len(b))
     flags[::2], flags[1::2] = a, b
-    del a, b
-    return array("q", chain((2, 3)[: limit - 1], compress(
-        accumulate(cycle((2, 4)), initial=5), flags)))
+    return flags
+
+
+@lru_cache(maxsize=1)
+def prime_flags(limit: int) -> bytearray:
+    """_interleaved(limit), for Euler products that stream their primes;
+    the last limit's is kept, so callers only read it.  Refuses, before allocating, a limit whose
+    planes and flags could take the process past DEFAULT_MEMORY_BUDGET."""
+    _admit(2 * limit // 3 + 16384, DEFAULT_MEMORY_BUDGET)
+    return _interleaved(limit)
 
 
 def _windows(limit: int, primes: array, ks: range):

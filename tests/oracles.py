@@ -78,6 +78,9 @@ class PrefixCounts:
     def count_primes_upto(self, x: int) -> int:
         return self._upto(self._primes, x)
 
+    def primes_upto(self, x: int) -> list[int]:
+        return self._primes[: self.count_primes_upto(x)]
+
     def count_twins_upto(self, x: int) -> int:
         return self._upto(self._twin_tops, x)
 

@@ -216,7 +216,8 @@ def test_sweep_stdout_matches_golden(name, capsys, monkeypatch):
 
 
 # Output that the sweep does not pin: the other formats, and the files of
-# `reproduce`, captured at 10**6.
+# `reproduce`, captured at 10**6; and the Euler products to the bit at ten
+# times the sweep's pmax.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 _M = ["--limit", "1000000"]
 _RENDERED = {
@@ -224,6 +225,8 @@ _RENDERED = {
        for t in (1, 2, 3) for fmt in ("text", "json")},
     "audit.json": (["audit", *_M, "--format", "json"], 3),
     "check.json": (["check", *_M, "--format", "json"], 2),
+    "estimate-pmax1e7.stdout": (
+        ["estimate", "--x", "1000000", "--euler-pmax", "10000000"], 0),
 }
 
 
@@ -306,14 +309,17 @@ def test_main_registers_the_exit_freeze_once():
 
 def test_ctrl_c_twice_is_one_error_line_and_leaves_no_worker():
     # A terminal sends SIGINT to the whole process group: the CLI and the
-    # worker it forked for the second half of the windows.
+    # worker it forked for the second half of the windows.  The CLI starts
+    # with SIGINT's default action even where the tests run with it ignored
+    # (a background job), since an ignored SIGINT stays ignored across exec.
     children = Path(f"/proc/self/task/{os.getpid()}/children")
     if not children.exists():
         pytest.skip("needs /proc/<pid>/task/<tid>/children")
     proc = subprocess.Popen(
         [sys.executable, "-m", "twinprimes", "sieve", "--limit", str(10**10),
          "--threads", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True)
+        text=True, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
     try:
         deadline = time.monotonic() + 60

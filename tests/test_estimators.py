@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinprimes import estimators
 from twinprimes import (
     EstimateRow,
     RunConfig,
@@ -337,19 +339,47 @@ def test_euler_products_are_numpys_bit_for_bit(pmax):
     assert twin_ratio_product(pmax) == float(np.prod((p - 1.0) / (p - 2.0)))
 
 
-def test_both_euler_products_share_one_sieve(monkeypatch):
+def _naive_products(primes, pmax):
+    """float.hex of C2 and of the ratio product at pmax, one factor per odd
+    prime of the oracle's in turn."""
+    c2 = ratio = 1
+    for p in primes[1 : bisect_right(primes, pmax)]:
+        c2 *= 1.0 - 1.0 / (p - 1.0) ** 2
+        ratio *= (p - 1.0) / (p - 2.0)
+    return (2.0 * c2).hex(), ratio.hex()
+
+
+@pytest.fixture(scope="module")
+def oracle_primes(sieve_1e6):
+    return sieve_1e6.primes_upto(10**6)
+
+
+def test_streamed_products_are_the_naive_products_bit_for_bit(oracle_primes):
+    # Every residue mod 6 and both plane edges (6j + 5, 6j + 7) up to 60,
+    # then past the first few thousand flags and at the suite's top rung.
+    for pmax in [*range(3, 61), *range(10**4 - 3, 10**4 + 4), 10**6]:
+        got = twin_prime_constant(pmax).hex(), twin_ratio_product(pmax).hex()
+        assert got == _naive_products(oracle_primes, pmax), pmax
+
+
+@pytest.mark.parametrize("ladder", [
+    list(range(3, 61)),                       # every pmax, one apart
+    [3, 5, 7, 101, 997, 9973, 99989],         # on a prime
+    [4, 6, 8, 102, 998, 9974, 99990],         # on a prime + 1
+    [35, 95, 9995, 99995],                    # on 6j + 5, composite
+    [25, 91, 10003, 100009],                  # on 6j + 7, composite
+    [100, 10**3, 10**4, 10**5, 10**6],        # the suite's
+])
+def test_each_rung_of_a_ladder_is_its_naive_product(oracle_primes, ladder):
+    got = [c.hex() for c in estimators.twin_prime_constants(ladder)]
+    assert got == [_naive_products(oracle_primes, pmax)[0]
+                   for pmax in ladder]
+
+
+def test_both_euler_products_share_one_sieve(flag_sieves):
     # The product estimator reads both products; pmax is sieved once for
     # the two.
-    from twinprimes import estimators as estimators_mod
-
-    calls = []
-
-    def counted(limit):
-        calls.append(limit)
-        return small_primes(limit)
-
-    monkeypatch.setattr(estimators_mod, "small_primes", counted)
     for pmax in (12_347, 12_349):
         hardy_littlewood_product(10**6, pmax)
         twin_ratio_product(pmax), twin_prime_constant(pmax)
-    assert calls == [12_347, 12_349]
+    assert flag_sieves == [12_347, 12_349]

@@ -19,9 +19,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from twinprimes import estimators
 from twinprimes import sieve as sieve_mod
 
 pytestmark = pytest.mark.skipif(
@@ -275,3 +277,23 @@ def test_a_multi_window_guard_counts_numpy_as_held():
     got = json.loads(proc.stdout)
     assert (got["one"], got["loaded"]) == (8_169, False)
     assert got["held"] > got["before"] + 4 * 2**20
+
+
+@pytest.mark.parametrize("pmax", [10**6, 10**7])
+def test_streamed_euler_products_take_only_their_flag_sieve(pmax):
+    # The planes and their interleaved flags, which prime_flags admits; an
+    # array of the primes up to pmax beside the flags would pass it.
+    cached = (sieve_mod.prime_flags, estimators.twin_prime_constant,
+              estimators.twin_ratio_product)
+    for c in cached:
+        c.cache_clear()
+    tracemalloc.start()
+    try:
+        estimators.twin_prime_constants([100, 10**5, pmax])
+        estimators.twin_ratio_product(pmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for c in cached:
+            c.cache_clear()
+    assert peak <= 2 * pmax // 3 + 16384

@@ -312,23 +312,14 @@ class TestInvariantSuite:
         assert check.detail.startswith("truncations [100, 1000, 5000] ->")
 
     def test_the_suite_sieves_its_euler_primes_once(self, sieve_1e4,
-                                                    monkeypatch):
+                                                    flag_sieves):
         # The ladder and the estimates read one sieve of the top rung, and
         # each rung's constant is the one its own sieve gives, bit for bit.
         from twinprimes import estimators
 
-        calls = []
-
-        def counted(limit):
-            calls.append(limit)
-            return small_primes(limit)
-
-        estimators._odd_primes.cache_clear()
-        estimators.twin_prime_constant.cache_clear()
-        monkeypatch.setattr(estimators, "small_primes", counted)
         suite = run_invariant_suite(
             sieve_1e4, RunConfig(limit=10**4, euler_pmax=12_347))
-        assert calls == [12_347]
+        assert flag_sieves == [12_347]
         ladder = [100, 1000, 10**4, 12_347]
         own = [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
                                for p in small_primes(pmax)[1:])
