@@ -19,8 +19,7 @@ _EXPORTS = {
                    "round_half_away", "sandwich_bounds", "trost_bounds",
                    "twin_count_estimate", "twin_prime_constant",
                    "twin_ratio_product"),
-    "legendre": ("DensityBoundCheck", "PhiPrimeBound", "check_phi_pi_bound",
-                 "density_upper_bound", "first_primes", "phi_mobius",
+    "legendre": ("density_upper_bound", "first_primes", "phi_mobius",
                  "phi_mobius_row", "phi_recursive"),
     "report": ("AuditReport", "CrossTableConflict", "InvariantCheck",
                "ReferenceCell", "audit_against_reference",

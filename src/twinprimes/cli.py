@@ -140,7 +140,7 @@ def _cmd_estimate(args) -> int:
     pi = counts.count_primes_upto(x)
     lo, up = estimators.trost_bounds(x)
     a, b = estimators.sandwich_bounds(x)
-    density = legendre.density_upper_bound(counts, 1.0, x)
+    density = legendre.density_upper_bound(1.0, x)
     # Computed before the warning, so a refused pmax prints one error line.
     hl_simple = estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
     hl_product = estimators.hardy_littlewood_product(x, cfg.euler_pmax)
@@ -157,9 +157,9 @@ def _cmd_estimate(args) -> int:
         f"rel_error={report.format_cell(3, 'rel_error', row.rel_error)}\n"
         f"trost_lower={lo:.3f}\ntrost_upper={up:.3f}\n"
         f"bound_a={a:.3f}\nbound_b={b:.3f}\n"
-        f"density_bound={density.bound:.6f}\n"
-        f"density_actual={density.actual:.6f}\n"
-        f"density_holds={str(density.holds).lower()}\n"
+        f"density_bound={density:.6f}\n"
+        f"density_actual={pi / x:.6f}\n"
+        f"density_holds={str(pi / x < density).lower()}\n"
         f"hl_simple={hl_simple:.3f}\nhl_product={hl_product:.3f}\n",
         None,
     )
@@ -183,12 +183,12 @@ def _cmd_phi(args) -> int:
     y, r = args.y, args.r
     # Counted first, so the memory budget refuses an oversized --y at once;
     # phi reaches y whatever --limit says.
-    counts = count_at(y, [y] if y >= 2 else [], threads=args.threads)
-    chk = legendre.check_phi_pi_bound(counts, y, r)
-    lines = [f"y={y}", f"r={r}", f"phi_recursive={chk.phi}"]
+    pi_y = count_at(y, [y], threads=args.threads)[y][0] if y >= 2 else 0
+    phi = legendre.phi_recursive(y, r)
+    lines = [f"y={y}", f"r={r}", f"phi_recursive={phi}"]
     if r <= legendre.MAX_MOBIUS_R:
         lines.append(f"phi_mobius={legendre.phi_mobius(y, r)}")
-    lines += [f"pi_y={chk.pi_y}", f"bound_ok={str(chk.bound_ok).lower()}"]
+    lines += [f"pi_y={pi_y}", f"bound_ok={str(pi_y <= phi + r).lower()}"]
     _write("\n".join(lines) + "\n", None)
     return EXIT_OK
 

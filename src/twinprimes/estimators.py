@@ -127,7 +127,6 @@ def twin_prime_constants(pmaxes: Sequence[int]) -> list[float]:
     return consts + [twin_prime_constant(pmaxes[-1])]
 
 
-@lru_cache(maxsize=16)
 def twin_ratio_product(pmax: int) -> float:
     """prod_{3 <= p <= pmax} (p-1)/(p-2); diverges as pmax grows."""
     [qs] = _p_minus_ones(pmax, [pmax])

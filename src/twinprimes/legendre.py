@@ -1,5 +1,5 @@
-"""Inclusion-exclusion prime counting: phi(y, r) two ways, plus the bounds
-it yields on pi(y) and on the prime density pi(y)/y.
+"""Inclusion-exclusion prime counting: phi(y, r) two ways, which bounds
+pi(y) <= phi(y, r) + r, and the bound it yields on the density pi(y)/y.
 
 phi(y, r) counts naturals <= y (1 included) divisible by none of the first
 r primes.  Two independent evaluations, neither recursive nor memoized,
@@ -20,9 +20,9 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .sieve import Counts, small_primes
+from .sieve import small_primes
 
 MAX_MOBIUS_R = 25  # 2**r terms; beyond this the direct sum is refused
 
@@ -106,32 +106,9 @@ def phi_mobius(y: int, r: int) -> int:
     return phi_mobius_row([y], r)[0]
 
 
-class PhiPrimeBound(NamedTuple):
-    """Result of checking pi(y) <= phi(y, r) + r."""
-
-    y: int
-    r: int
-    pi_y: int
-    phi: int
-    bound_ok: bool
-
-
-def check_phi_pi_bound(sieve: Counts, y: int, r: int) -> PhiPrimeBound:
-    """Evaluate pi(y) <= phi(y, r) + r exactly (expected to always hold)."""
-    pi_y = sieve.count_primes_upto(y) if y >= 2 else 0
-    phi = phi_recursive(y, r)
-    return PhiPrimeBound(y, r, pi_y, phi, pi_y <= phi + r)
-
-
-class DensityBoundCheck(NamedTuple):
-    r: float  # c * ln(y)
-    bound: float
-    actual: float  # pi(y) / y
-    holds: bool
-
-
-def density_upper_bound(sieve: Counts, c: float, y: int) -> DensityBoundCheck:
-    """Check pi(y)/y < 1/(ln(c) + ln(ln(y))) + 2*y**(c*ln(2) - 1), r = c*ln(y).
+def density_upper_bound(c: float, y: int) -> float:
+    """1/(ln(c) + ln(ln(y))) + 2*y**(c*ln(2) - 1), r = c*ln(y): the bound
+    on the prime density pi(y)/y.
 
     Requires c*ln(2) < 1 (so 2**r < y) and ln(c) + ln(ln(y)) > 0 (positive
     denominator); violations are rejected up front.
@@ -147,6 +124,4 @@ def density_upper_bound(sieve: Counts, c: float, y: int) -> DensityBoundCheck:
     denominator = math.log(c) + math.log(math.log(y))
     if denominator <= 0:
         raise ValueError(f"ln(c) + ln(ln(y)) = {denominator:.6f} must be > 0")
-    bound = 1.0 / denominator + 2.0 * y ** (c * _LN2 - 1.0)
-    actual = sieve.count_primes_upto(y) / y
-    return DensityBoundCheck(c * math.log(y), bound, actual, actual < bound)
+    return 1.0 / denominator + 2.0 * y ** (c * _LN2 - 1.0)

@@ -364,11 +364,11 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
 
         ok = True
         detail = "pi and pi2 non-decreasing over the full range"
-        probe = [at[x] for x in grid[:: max(1, len(grid) // 16)]]
-        for a, b in zip(probe, probe[1:]):
+        rows = [at[x] for x in grid]
+        for a, b in zip(rows, rows[1:]):
             if b.pi_x < a.pi_x or b.pi2_x < a.pi2_x:
                 ok, detail = False, f"counts decreased between {a.x} and {b.x}"
-        if any(row.pi2_x > row.pi_x for row in probe):
+        if any(row.pi2_x > row.pi_x for row in rows):
             ok, detail = False, "pi2 exceeded pi"
         yield InvariantCheck("count_monotonicity", ok, detail)
 
@@ -409,7 +409,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
         bad = []
         for c in (0.8, 1.0, 1.2, 1.4):
             for y in decades or grid[-1:]:  # the limit, below 1000
-                if not legendre.density_upper_bound(sieve, c, y).holds:
+                if not at[y].pi_x / y < legendre.density_upper_bound(c, y):
                     bad.append((c, y))
         yield InvariantCheck(
             "density_upper_bound_grid", not bad,
@@ -425,6 +425,10 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
                 f"rel_error > 0.04 at {bad}" if bad
                 else f"rel_error <= 0.04 at all {len(xs)} checkpoints")
 
+        # The run's C2 first: its flag sieve of euler_pmax also holds the
+        # ladder's primes, which stops at 10**6.
+        ratios = [estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
+                  / at[x].pi2_x for x in decades]
         # Coarser truncations, then the run's own (capped at 10**6).
         top = min(10**6, cfg.euler_pmax)
         ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
@@ -434,11 +438,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
             "twin_constant_monotone", ok,
             f"truncations {ladder} -> {[f'{c:.9f}' for c in consts]}")
 
-        if decades:  # in the ladder's part: it reads the C2 cached there
-            ratios = [
-                estimators.hardy_littlewood_simple(x, cfg.euler_pmax)
-                / at[x].pi2_x for x in decades
-            ]
+        if decades:
             growing = all(b > a for a, b in zip(ratios, ratios[1:]))
             yield InvariantCheck(
                 "hl_simple_overshoot_finding", True,

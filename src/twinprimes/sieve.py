@@ -20,7 +20,6 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle
 from typing import TYPE_CHECKING
 
@@ -125,13 +124,19 @@ def _interleaved(limit: int) -> bytearray:
     return flags
 
 
-@lru_cache(maxsize=1)
+_flags = bytearray()  # prime_flags' sieve, of the largest limit yet
+
+
 def prime_flags(limit: int) -> bytearray:
-    """_interleaved(limit), for Euler products that stream their primes;
-    the last limit's is kept, so callers only read it.  Refuses, before allocating, a limit whose
-    planes and flags could take the process past DEFAULT_MEMORY_BUDGET."""
-    _admit(2 * limit // 3 + 16384, DEFAULT_MEMORY_BUDGET)
-    return _interleaved(limit)
+    """_interleaved of the largest limit yet, kept for Euler products that
+    stream their primes: callers only read it, and slice off a smaller
+    limit's flags, its prefix.  Refuses, before allocating, a larger limit
+    whose planes and flags could take the process past DEFAULT_MEMORY_BUDGET."""
+    global _flags
+    if len(_flags) < (limit + 1) // 6 + (limit - 1) // 6:
+        _admit(2 * limit // 3 + 16384, DEFAULT_MEMORY_BUDGET)
+        _flags = _interleaved(limit)
+    return _flags
 
 
 def _windows(limit: int, primes: array, ks: range):

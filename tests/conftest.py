@@ -39,21 +39,20 @@ def trial_twin_1e4():
 @pytest.fixture
 def flag_sieves(monkeypatch):
     """The limits at which the Euler products' flag sieve really sieves, in
-    order, from empty caches: the misses of its cache, as estimators calls
-    it."""
+    order, from an empty sieve: the calls, as estimators makes them, that
+    return a longer sieve than the one held before."""
     from twinprimes import estimators, sieve
 
     real, calls = sieve.prime_flags, []
 
     def counted(limit):
-        misses = real.cache_info().misses
+        held = len(sieve._flags)
         flags = real(limit)
-        if real.cache_info().misses > misses:
+        if len(flags) > held:
             calls.append(limit)
         return flags
 
-    for cached in (real, estimators.twin_prime_constant,
-                   estimators.twin_ratio_product):
-        cached.cache_clear()
+    estimators.twin_prime_constant.cache_clear()
+    monkeypatch.setattr(sieve, "_flags", bytearray())
     monkeypatch.setattr(estimators, "prime_flags", counted)
     return calls

@@ -19,7 +19,6 @@ import pytest
 
 from twinprimes import (
     RunConfig,
-    check_phi_pi_bound,
     count_at,
     density_ratio,
     density_upper_bound,
@@ -215,8 +214,9 @@ def test_c06_phi_routes_and_prime_count_bound():
                 failures.append(f"phi disagreement at (y={y}, r={r})")
                 break
     for y in range(1, 10**4 + 1):
+        pi_y = counts.count_primes_upto(y) if y >= 2 else 0
         for r in range(0, 11):
-            if not check_phi_pi_bound(counts, y, r).bound_ok:
+            if not pi_y <= phi_recursive(y, r) + r:
                 failures.append(f"pi(y) <= phi+r fails at (y={y}, r={r})")
                 break
     elapsed = time.perf_counter() - t0
@@ -230,9 +230,10 @@ def test_c07_density_bound_and_ratio_cap(counts_1e6):
     failures = []
     for c in (0.8, 1.0, 1.2, 1.4):
         for y in (10**3, 10**4, 10**5, 10**6):
-            chk = density_upper_bound(counts_1e6, c, y)
-            if not chk.holds:
-                failures.append(f"(c={c}, y={y}): {chk.actual} >= {chk.bound}")
+            bound = density_upper_bound(c, y)
+            actual = counts_1e6.count_primes_upto(y) / y
+            if not actual < bound:
+                failures.append(f"(c={c}, y={y}): {actual} >= {bound}")
     for x in log_grid(5, 10**6, 200).tolist():
         pi2 = counts_1e6.count_twins_upto(x)
         if pi2 > 0:

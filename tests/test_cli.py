@@ -123,22 +123,24 @@ def test_estimate_respects_hc_override(capsys):
     assert "pi2_star=282" in out  # 10 * 168**2 / 1000, rounded
 
 
-def test_phi_subcommand(capsys):
-    assert main(["phi", "--y", "100", "--r", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "phi_recursive=22" in out
-    assert "phi_mobius=22" in out
-    assert "pi_y=25" in out
-    assert "bound_ok=true" in out
+# (y, r): the whole stdout of `phi`.  Below y = 2 nothing is counted and
+# pi(y) = 0.  P_1501**2 > 10**5, so phi(10**5, 1500) = 1 + pi(10**5) - 1500;
+# the Moebius route is capped at r = 25 and is not printed.
+_PHI_STDOUT = {
+    (0, 0): "y=0\nr=0\nphi_recursive=0\nphi_mobius=0\npi_y=0\nbound_ok=true\n",
+    (1, 3): "y=1\nr=3\nphi_recursive=1\nphi_mobius=1\npi_y=0\nbound_ok=true\n",
+    (2, 1): "y=2\nr=1\nphi_recursive=1\nphi_mobius=1\npi_y=1\nbound_ok=true\n",
+    (100, 4): ("y=100\nr=4\nphi_recursive=22\nphi_mobius=22\npi_y=25\n"
+               "bound_ok=true\n"),
+    (100000, 1500): ("y=100000\nr=1500\nphi_recursive=8093\npi_y=9592\n"
+                     "bound_ok=true\n"),
+}
 
 
-def test_phi_answers_at_large_r():
-    # P_1501**2 > 10**5, so phi(10**5, 1500) = 1 + pi(10**5) - 1500; the
-    # Moebius route is capped at r = 25 and is not printed.
-    proc = run_cli("phi", "--y", "100000", "--r", "1500")
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == ("y=100000\nr=1500\nphi_recursive=8093\n"
-                           "pi_y=9592\nbound_ok=true\n")
+@pytest.mark.parametrize("y,r", _PHI_STDOUT)
+def test_phi_stdout(capsys, y, r):
+    assert main(["phi", "--y", str(y), "--r", str(r)]) == 0
+    assert capsys.readouterr() == (_PHI_STDOUT[y, r], "")
 
 
 def test_calibrate_reports_mean(capsys):

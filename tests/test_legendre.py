@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinprimes import (
-    check_phi_pi_bound,
     density_upper_bound,
     first_primes,
     phi_mobius,
@@ -167,29 +164,31 @@ def test_phi_monotone_in_both_arguments():
 
 
 def test_prime_count_bound_examples(sieve_1e4):
-    chk = check_phi_pi_bound(sieve_1e4, 100, 4)
-    assert (chk.pi_y, chk.phi, chk.bound_ok) == (25, 22, True)
-    chk = check_phi_pi_bound(sieve_1e4, 10, 0)
-    assert (chk.pi_y, chk.phi, chk.bound_ok) == (4, 10, True)
-    assert check_phi_pi_bound(sieve_1e4, 10**4, 10).bound_ok
+    # pi(y) <= phi(y, r) + r
+    pi = sieve_1e4.count_primes_upto
+    assert (pi(100), phi_recursive(100, 4)) == (25, 22)
+    assert (pi(10), phi_recursive(10, 0)) == (4, 10)
+    assert pi(10**4) <= phi_recursive(10**4, 10) + 10
 
 
 def test_prime_count_bound_small_grid(sieve_1e4):
     for y in range(1, 2001):
+        pi_y = sieve_1e4.count_primes_upto(y) if y >= 2 else 0
         for r in range(0, 8):
-            assert check_phi_pi_bound(sieve_1e4, y, r).bound_ok, (y, r)
+            assert pi_y <= phi_recursive(y, r) + r, (y, r)
 
 
 def test_density_params_reject_large_c(sieve_1e6):
     with pytest.raises(ValueError) as err:
-        density_upper_bound(sieve_1e6, 1.5, 10**6)
+        density_upper_bound(1.5, 10**6)
     assert str(err.value) == "c*ln(2) = 1.039721 must be < 1 (c < 1.442695)"
-    assert density_upper_bound(sieve_1e6, 1.4, 10**6).holds  # 1.4*ln(2) < 1
+    pi = sieve_1e6.count_primes_upto(10**6)
+    assert pi / 10**6 < density_upper_bound(1.4, 10**6)  # 1.4*ln(2) < 1
 
 
-def test_density_params_reject_nonpositive_denominator(sieve_1e6):
+def test_density_params_reject_nonpositive_denominator():
     with pytest.raises(ValueError) as err:
-        density_upper_bound(sieve_1e6, 1.0, 2)
+        density_upper_bound(1.0, 2)
     assert str(err.value) == "ln(c) + ln(ln(y)) = -0.366513 must be > 0"
 
 
@@ -199,24 +198,23 @@ def test_density_params_reject_nonpositive_denominator(sieve_1e6):
     (1.0, 1, "y must be >= 2, got y=1"),
     (1.0, 0, "y must be >= 2, got y=0"),
 ], ids=["c=0", "c=-1", "y=1", "y=0"])
-def test_density_params_reject_nonpositive_c_and_small_y(sieve_1e6, c, y,
-                                                         message):
-    # Refused before any count is read: y = 0 and 1 lie outside the counts.
+def test_density_params_reject_nonpositive_c_and_small_y(c, y, message):
     with pytest.raises(ValueError) as err:
-        density_upper_bound(sieve_1e6, c, y)
+        density_upper_bound(c, y)
     assert str(err.value) == message
 
 
 def test_density_bound_value_at_reference_point(sieve_1e6):
-    chk = density_upper_bound(sieve_1e6, 1.0, 10**6)
+    bound = density_upper_bound(1.0, 10**6)
     # frozen from 40-digit evaluation of 1/ln(ln(1e6)) + 2*1e6**(ln2 - 1)
-    assert chk.bound == pytest.approx(0.4096720326725310, rel=1e-12)
-    assert chk.actual == pytest.approx(0.078498, rel=1e-12)
-    assert chk.r == pytest.approx(math.log(10**6), rel=1e-12)
-    assert chk.holds
+    assert bound == pytest.approx(0.4096720326725310, rel=1e-12)
+    actual = sieve_1e6.count_primes_upto(10**6) / 10**6
+    assert actual == pytest.approx(0.078498, rel=1e-12)
+    assert actual < bound
 
 
 def test_density_bound_grid(sieve_1e6):
     for c in (0.8, 1.0, 1.2, 1.4):
         for y in (10**3, 10**4, 10**5, 10**6):
-            assert density_upper_bound(sieve_1e6, c, y).holds, (c, y)
+            actual = sieve_1e6.count_primes_upto(y) / y
+            assert actual < density_upper_bound(c, y), (c, y)

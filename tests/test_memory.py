@@ -280,13 +280,12 @@ def test_a_multi_window_guard_counts_numpy_as_held():
 
 
 @pytest.mark.parametrize("pmax", [10**6, 10**7])
-def test_streamed_euler_products_take_only_their_flag_sieve(pmax):
+def test_streamed_euler_products_take_only_their_flag_sieve(pmax,
+                                                            monkeypatch):
     # The planes and their interleaved flags, which prime_flags admits; an
     # array of the primes up to pmax beside the flags would pass it.
-    cached = (sieve_mod.prime_flags, estimators.twin_prime_constant,
-              estimators.twin_ratio_product)
-    for c in cached:
-        c.cache_clear()
+    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
+    estimators.twin_prime_constant.cache_clear()
     tracemalloc.start()
     try:
         estimators.twin_prime_constants([100, 10**5, pmax])
@@ -294,6 +293,5 @@ def test_streamed_euler_products_take_only_their_flag_sieve(pmax):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        for c in cached:
-            c.cache_clear()
+        estimators.twin_prime_constant.cache_clear()
     assert peak <= 2 * pmax // 3 + 16384

@@ -1,6 +1,7 @@
-"""Every public record is an immutable NamedTuple; `RunConfig` runs its
-checks on construction, `_make` and `_replace` alike; and `_asdict()` gives
-the keys in the order the json goldens print them."""
+"""Every public record is an immutable NamedTuple, and each is the run's
+config or is printed; `RunConfig` runs its checks on construction, `_make`
+and `_replace` alike; and `_asdict()` gives the keys in the order the json
+goldens print them."""
 
 import json
 from pathlib import Path
@@ -12,7 +13,6 @@ from twinprimes import (
     RunConfig,
     audit_against_reference,
     bounds_rows,
-    check_phi_pi_bound,
     checkpoint_rows,
     density_upper_bound,
     estimate_rows,
@@ -31,8 +31,6 @@ def records(sieve_1e4):
         checkpoint_rows(sieve_1e4, [1000])[0],
         bounds_rows(sieve_1e4, [1000])[0],
         estimate_rows(sieve_1e4, [1000])[0],
-        check_phi_pi_bound(sieve_1e4, 1000, 3),
-        density_upper_bound(sieve_1e4, 1.0, 1000),
         audit,
         audit.cells[0],
         audit.conflicts[0],
@@ -41,13 +39,16 @@ def records(sieve_1e4):
     return {type(r).__name__: r for r in instances}
 
 
+# Every exported tuple type, by its name.
+_EXPORTED = {
+    name for name in twinprimes.__all__
+    if isinstance(getattr(twinprimes, name), type)
+    and issubclass(getattr(twinprimes, name), tuple)
+}
+
+
 def test_every_exported_record_is_covered(records):
-    exported = {
-        name for name in twinprimes.__all__
-        if isinstance(getattr(twinprimes, name), type)
-        and issubclass(getattr(twinprimes, name), tuple)
-    }
-    assert exported == set(records)
+    assert _EXPORTED == set(records)
 
 
 def test_assigning_a_field_is_an_attribute_error(records):
@@ -81,11 +82,11 @@ def test_bad_values_are_refused_on_construction_and_replace(good, bad):
                                                         record)])
 
 
-def test_density_bound_refuses_c_ln2_at_least_one(sieve_1e4):
+def test_density_bound_refuses_c_ln2_at_least_one():
     # The parameters are plain arguments, checked on every call.
-    density_upper_bound(sieve_1e4, 1.0, 1000)
+    density_upper_bound(1.0, 1000)
     with pytest.raises(ValueError, match=r"^c\*ln\(2\) = 1\.039721 must be"):
-        density_upper_bound(sieve_1e4, 1.5, 1000)
+        density_upper_bound(1.5, 1000)
 
 
 def test_replace_keeps_the_type_and_the_other_fields():
@@ -113,3 +114,8 @@ def test_asdict_keys_follow_the_golden_order(record, records):
     for key in path:
         doc = doc[key]
     assert list(records[record]._asdict()) == list(doc[0])
+
+
+def test_every_record_is_printed_or_is_the_run_config():
+    # AuditReport is the document that render_audit_json prints.
+    assert _EXPORTED <= {"RunConfig", "AuditReport", *_PRINTED_IN}

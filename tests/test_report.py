@@ -313,20 +313,23 @@ class TestInvariantSuite:
 
     def test_the_suite_sieves_its_euler_primes_once(self, sieve_1e4,
                                                     flag_sieves):
-        # The ladder and the estimates read one sieve of the top rung, and
-        # each rung's constant is the one its own sieve gives, bit for bit.
+        # The ladder and the estimates read one sieve of euler_pmax, also
+        # past the ladder's top rung of 10**6, and each rung's constant is
+        # the one its own sieve gives, bit for bit.
         from twinprimes import estimators
 
-        suite = run_invariant_suite(
-            sieve_1e4, RunConfig(limit=10**4, euler_pmax=12_347))
-        assert flag_sieves == [12_347]
-        ladder = [100, 1000, 10**4, 12_347]
-        own = [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
-                               for p in small_primes(pmax)[1:])
-               for pmax in ladder]
-        assert estimators.twin_prime_constants(ladder) == own
-        assert _check(suite, "twin_constant_monotone").detail == (
-            f"truncations {ladder} -> {[f'{c:.9f}' for c in own]}")
+        for euler_pmax, ladder in (
+                (12_347, [100, 1000, 10**4, 12_347]),
+                (3 * 10**6, [100, 1000, 10**4, 10**5, 10**6])):
+            suite = run_invariant_suite(
+                sieve_1e4, RunConfig(limit=10**4, euler_pmax=euler_pmax))
+            own = [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
+                                   for p in small_primes(pmax)[1:])
+                   for pmax in ladder]
+            assert estimators.twin_prime_constants(ladder) == own
+            assert _check(suite, "twin_constant_monotone").detail == (
+                f"truncations {ladder} -> {[f'{c:.9f}' for c in own]}")
+        assert flag_sieves == [12_347, 3 * 10**6]
 
     def test_suite_clamps_to_small_limits(self, sieve_1e4):
         suite = run_invariant_suite(sieve_1e4, RunConfig(limit=10**4))
@@ -334,9 +337,8 @@ class TestInvariantSuite:
         assert _check(suite, "sandwich_grid").passed
 
     def test_grid_checks_report_wrong_counts(self):
-        # Wrong pi and pi2 at the grid point 3060, also one of the probed
-        # points, and a wrong pi2 at the decade 1000: each check that reads
-        # them must fail and name the x.
+        # Wrong pi and pi2 at the grid point 3060, and a wrong pi2 at the
+        # decade 1000: each check that reads them must fail and name the x.
         counts = oracles.PrefixCounts(10**4)
         pi, pi2 = counts.count_primes_upto, counts.count_twins_upto
         wrong_pi, wrong_pi2 = {3060: 2}, {3060: 1, 1000: 1}

@@ -787,7 +787,8 @@ def test_budget_counts_what_the_process_holds(monkeypatch):
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: held)
     growth = 2 * limit // 3 + 16384 + 9 * math.ceil(
         1.25506 * limit / math.log(limit))
-    sieve_mod.prime_flags.cache_clear()  # a cached limit is not sieved
+    # prime_flags serves a limit that its held sieve covers, unadmitted.
+    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
     for run, need in ((build_sieve, held + _estimate_bytes(limit, 1)),
                       (pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
                       (small_primes, held + growth),
