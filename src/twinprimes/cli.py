@@ -71,8 +71,8 @@ _FLAGS = {
     "--limit": dict(type=int, default=_DEFAULTS["limit"],
                     help="bound on the points read (default %(default)s)"),
     "--threads": dict(type=int, default=_DEFAULTS["threads"],
-                      help="workers (forked processes) that count and "
-                      "run the invariant suite; never changes results"),
+                      help="workers (forked processes) that count; "
+                      "never changes results"),
     "--checkpoints": dict(type=_parse_checkpoints, default=None,
                           help="comma-separated x values "
                           "(default: reference rows)"),
@@ -181,9 +181,10 @@ def _cmd_calibrate(args) -> int:
 def _cmd_phi(args) -> int:
     from . import legendre
     y, r = args.y, args.r
-    # Counted first, so the memory budget refuses an oversized --y at once;
     # phi reaches y whatever --limit says.
-    pi_y = count_at(y, [y], threads=args.threads)[y][0] if y >= 2 else 0
+    cfg = _run_config(args, limit=max(args.limit, y, 5))
+    # Counted first, so the memory budget refuses an oversized --y at once.
+    pi_y = count_at(y, [y], threads=cfg.threads)[y][0] if y >= 2 else 0
     phi = legendre.phi_recursive(y, r)
     lines = [f"y={y}", f"r={r}", f"phi_recursive={phi}"]
     if r <= legendre.MAX_MOBIUS_R:

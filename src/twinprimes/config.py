@@ -32,9 +32,8 @@ class RunConfig(_RunConfigFields):
     the checkpoints.  The CLI counts at those points alone, sieving only
     as far as the largest.  h_c is the estimator's calibrated density
     ratio and euler_pmax the truncation bound of every Euler product.  The
-    thread count never changes an output byte; it only tunes the count
-    and the invariant suite.  Building, `_make` and `_replace` run
-    `_validate`.
+    thread count never changes an output byte; it only tunes the count.
+    Building, `_make` and `_replace` run `_validate`.
     """
 
     __slots__ = ()
@@ -66,3 +65,5 @@ class RunConfig(_RunConfigFields):
             raise ValueError(f"h_c must be positive and finite, got {self.h_c}")
         if self.euler_pmax < 100:
             raise ValueError(f"euler_pmax must be >= 100, got {self.euler_pmax}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 from . import counting, estimators, legendre
 from .config import RunConfig
 from .estimators import log_grid, round_half_away
-from .sieve import Counts, _fan_out, small_primes
+from .sieve import Counts, small_primes
 
 STATUS_MATCH = "match"
 STATUS_FORMATTING = "formatting-only"
@@ -333,10 +333,8 @@ def _phi_table(y: int, r: int) -> list[list[int]]:
 def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
     """Execute every module's invariant grid, clamped to the sieve limit.
 
-    Returns a named pass/fail per check; the CLI turns any failure into a
-    non-zero exit.  The checks run in two parts, the second on a forked
-    worker if cfg.threads allows (sieve._fan_out), and are joined in order;
-    caches a worker fills stay in it.
+    Returns a named pass/fail per check, in order; the CLI turns any
+    failure into a non-zero exit.
     """
     grid, decades, xs = suite_points(sieve.limit)
     # pi, pi2 and pi(pi), counted once at every x that the checks below read.
@@ -347,7 +345,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
         return InvariantCheck(name, not bad, f"{len(grid)} grid points, " + (
             f"violations at {bad[:8]}" if bad else "0 violations"))
 
-    def counts_and_phi():
+    def checks():
         yield grid_check("trost_bounds_grid", [
             x for x, (lo, up) in zip(grid, map(estimators.trost_bounds, grid))
             if not lo < at[x].pi_x < up])
@@ -405,7 +403,6 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
             f"violations at {bad[:5]}" if bad
             else f"pi(y) <= phi(y,r) + r for sampled y <= {y_top}, r <= 10")
 
-    def bounds_and_products():
         bad = []
         for c in (0.8, 1.0, 1.2, 1.4):
             for y in decades or grid[-1:]:  # the limit, below 1000
@@ -446,11 +443,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
                 f"{decades} = {[f'{r:.2f}' for r in ratios]}"
                 + (", growing" if growing else ", NOT growing"))
 
-    # 21-30 and 20-28 ms at 10**6 (2-vCPU x86_64, cold bytecode cache).
-    parts = (counts_and_phi, bounds_and_products)
-    runs = _fan_out(lambda ks: [c for k in ks for c in parts[k]()],
-                    cfg.threads, len(parts))
-    return [c for checks in runs for c in checks]
+    return list(checks())
 
 
 def render_invariants_text(checks: list[InvariantCheck]) -> str:

@@ -139,8 +139,10 @@ _PHI_STDOUT = {
 
 @pytest.mark.parametrize("y,r", _PHI_STDOUT)
 def test_phi_stdout(capsys, y, r):
-    assert main(["phi", "--y", str(y), "--r", str(r)]) == 0
-    assert capsys.readouterr() == (_PHI_STDOUT[y, r], "")
+    # phi reaches y whatever --limit says, even one below 5.
+    for limit in ([], ["--limit", "3"]):
+        assert main(["phi", "--y", str(y), "--r", str(r), *limit]) == 0
+        assert capsys.readouterr() == (_PHI_STDOUT[y, r], "")
 
 
 def test_calibrate_reports_mean(capsys):
@@ -275,8 +277,19 @@ def test_a_check_process_writes_the_golden_json(tmp_path):
 
 def test_check_and_reproduce_are_identical_on_two_workers(tmp_path,
                                                           monkeypatch, capsys):
-    # Two CPUs on any host, so a second worker runs half the suite.
+    # Two CPUs on any host, and windows of 2**14 j-values, so the count pass
+    # spans 11 windows at 10**6 and a second worker counts half of them.
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**14)
     monkeypatch.delenv("TWINPRIMES_OUTDIR", raising=False)
     runs = []
     for threads in ("1", "2"):
@@ -285,6 +298,7 @@ def test_check_and_reproduce_are_identical_on_two_workers(tmp_path,
                       "--outdir", str(tmp_path)]), capsys.readouterr()
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         runs.append((check, repro, files))
+    assert forks
     assert runs[0] == runs[1]
     check, repro, files = runs[0]
     assert check == (2, ((CASES / "golden" / "check.stdout").read_text(), ""))
@@ -416,6 +430,13 @@ def test_failure_is_one_error_line(case, tmp_path):
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("y", ["1", "5"])
+def test_a_bad_thread_count_is_refused_where_nothing_is_counted(y, capsys):
+    # Below y = 2 phi counts nothing, yet --threads is refused as at y = 5.
+    assert main(["phi", "--y", y, "--r", "3", "--threads", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: threads must be >= 1, got 0\n")
 
 
 def test_budget_error_names_the_requested_and_held_bytes():

@@ -60,8 +60,9 @@ def test_a_two_worker_pass_loads_no_thread_pool():
     assert "concurrent.futures" not in loaded
 
 
-_SWEEP = json.loads((Path(__file__).parents[1] / "perfbench" / "data"
-                     / "cases.json").read_text())["sweep"]
+_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "data"
+                     / "cases.json").read_text())
+_SWEEP, _WORKLOADS = _CASES["sweep"], _CASES["workloads"]
 
 
 @functools.cache
@@ -92,6 +93,20 @@ def test_a_sweep_subcommand_at_1e6_loads_no_dataclasses_or_inspect(case):
 def test_a_sweep_subcommand_at_1e6_loads_no_pickle(case):
     # One worker: a fan-out is one call, with no fork and nothing to pickle.
     assert "pickle" not in _loaded_by_sweep_case(case)
+
+
+def test_check_on_two_workers_loads_no_pickle_or_signal():
+    # The invariant suite runs in the calling process, and at 10**6 the
+    # count is one window: nothing is forked, so nothing is pickled.
+    argv, code = (_WORKLOADS["check-1e6"][k] for k in ("argv", "exit"))
+    loaded = _loaded_after(
+        "import contextlib, io, os\n"
+        "os.cpu_count = lambda: 2\n"
+        "from twinprimes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv + ['--threads', '2']!r}) == {code}\n")
+    assert "pickle" not in loaded
+    assert "signal" not in loaded
 
 
 def test_a_count_past_one_window_loads_numpy():
