@@ -10,8 +10,9 @@ workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
 a slice per plane for each larger base prime.  build_sieve keeps them, with
 popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
 Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
-the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or up to one
-window on bytearray planes without numpy.  A second pass gives pi(pi(x)).
+the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or within
+one window on prime_flags, A and B interleaved in one bytearray that also
+serves small_primes and the Euler products.  A second pass gives pi(pi(x)).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, cycle
+from itertools import accumulate, chain, compress, cycle, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -81,62 +82,50 @@ def _admit(required: int, budget: int) -> None:
         raise MemoryBudgetError(required, held, budget)
 
 
-def _plane_flags(limit: int) -> tuple[bytearray, bytearray]:
-    """(A, B): A[j] == 1 iff 6j + 5 is prime, B[j] == 1 iff 6j + 7 is, for
-    the j whose number is <= limit."""
-    planes = (bytearray(b"\x01") * ((limit + 1) // 6),
-              bytearray(b"\x01") * ((limit - 1) // 6))
-    for p in range(5, math.isqrt(limit) + 1, 2):
-        if p % 3 and planes[p % 6 == 1][(p - 5) // 6]:
-            square = (p * p - 7) // 6  # cleared from p * p on
-            for plane, c in zip(planes, _OFFSETS):
-                # p divides 6j + c iff j = -c / 6 mod p.
-                j = square + (-c * pow(6, -1, p) - square) % p
-                plane[j::p] = bytes(len(range(j, len(plane), p)))
-    return planes
-
-
-def small_primes(limit: int, *, held_bytes: int = 0) -> array:
-    """All primes <= limit, as array('q'), from one unsegmented sieve.
-
-    Bootstrap helper for the segmented sieve and for small prime tables;
-    fine up to a few 10**7, do not use for the main store.  Refuses, before
-    allocating, a limit whose arrays, plus the held_bytes that the caller
-    builds from them, could take the process past DEFAULT_MEMORY_BUDGET.
-    """
-    if limit < 2:
-        return array("q")
-    # The planes and their interleaved copy (a third of limit each), and 9
-    # bytes (8, growth) per prime, <= 1.25506 n / ln n (Rosser-Schoenfeld).
-    required = held_bytes + 2 * limit // 3 + 16384 + 9 * math.ceil(
-        1.25506 * limit / math.log(limit))
-    _admit(required, DEFAULT_MEMORY_BUDGET)
-    return array("q", chain((2, 3)[: limit - 1], compress(
-        accumulate(cycle((2, 4)), initial=5), _interleaved(limit))))
-
-
-def _interleaved(limit: int) -> bytearray:
-    """The planes of _plane_flags interleaved, so flag i is 1 iff the i-th
-    of 5, 7, 11, 13, ... (A[0], B[0], A[1], B[1], ...) is prime."""
-    a, b = _plane_flags(limit)
-    flags = bytearray(len(a) + len(b))
-    flags[::2], flags[1::2] = a, b
-    return flags
-
-
 _flags = bytearray()  # prime_flags' sieve, of the largest limit yet
 
 
 def prime_flags(limit: int) -> bytearray:
-    """_interleaved of the largest limit yet, kept for Euler products that
-    stream their primes: callers only read it, and slice off a smaller
-    limit's flags, its prefix.  Refuses, before allocating, a larger limit
-    whose planes and flags could take the process past DEFAULT_MEMORY_BUDGET."""
+    """Flag i of the candidates 5, 7, 11, 13, ... <= limit, n = 3i + 5 - i % 2
+    (i = n // 3 - 1), is 1 if i = 2j and 6j + 5 is prime, 2 if i = 2j + 1 and
+    6j + 7 is, else 0: a twin pair is the bytes 1, 2 at an even i.  Kept of
+    the largest limit yet, so callers read a prefix and only read.  Refuses,
+    before allocating, a larger limit whose flags, a third of it, and one
+    slice's zeros, a tenth of those, could pass DEFAULT_MEMORY_BUDGET."""
     global _flags
-    if len(_flags) < (limit + 1) // 6 + (limit - 1) // 6:
-        _admit(2 * limit // 3 + 16384, DEFAULT_MEMORY_BUDGET)
-        _flags = _interleaved(limit)
+    n = (limit + 1) // 6 + (limit - 1) // 6
+    if len(_flags) < n:
+        _admit(11 * limit // 30 + 16384, DEFAULT_MEMORY_BUDGET)
+        flags = bytearray(b"\x01\x02") * -(-n // 2)
+        del flags[n:]  # in place: a copy would double the peak
+        for p in range(5, math.isqrt(limit) + 1, 2):
+            if p % 3 and flags[p // 3 - 1]:
+                # p * m from m = p and from the next m = -p (mod 6), every 6p.
+                for m in (p, p + -2 * p % 6):
+                    i = p * m // 3 - 1
+                    flags[i :: 2 * p] = bytearray(len(range(i, n, 2 * p)))
+        _flags = flags
     return _flags
+
+
+def small_primes(limit: int, *, held_bytes: int = 0) -> array:
+    """All primes <= limit, as array('q'), read off prime_flags.  Refuses,
+    before sieving, flags not yet held and an array that, with the held_bytes
+    that the caller builds from it, could pass DEFAULT_MEMORY_BUDGET."""
+    if limit < 2:
+        return array("q")
+    n = (limit + 1) // 6 + (limit - 1) // 6
+    # What prime_flags admits, and 9 bytes (8, growth) per prime, < 1.25506
+    # x / ln x (Rosser-Schoenfeld): a refusal sieves nothing.
+    _admit(held_bytes + (len(_flags) < n) * (11 * limit // 30 + 16384) + 9 *
+           math.ceil(1.25506 * limit / math.log(limit)), DEFAULT_MEMORY_BUDGET)
+    return array("q", chain((2, 3)[: limit - 1], compress(
+        islice(accumulate(cycle((2, 4)), initial=5), n), prime_flags(limit))))
+
+
+def _sixth(p):
+    """1/6 mod each prime p > 3: (1 + kp) / 6, k = -p mod 6 (1 or 5)."""
+    return (1 + p * (-p % 6)) // 6
 
 
 def _windows(limit: int, primes: array, ks: range):
@@ -157,7 +146,7 @@ def _windows(limit: int, primes: array, ks: range):
     # offset in the first; and the j, mod p, of each base prime's multiples.
     planes = [((limit + 6 - c) // 6,
                np.gcd(6 * np.arange(2 * _PERIOD) + c, _PERIOD) == 1,
-               np.array([-c * pow(6, -1, q) % q for q in steps], np.int64))
+               -c * _sixth(p) % p)
               for c in _OFFSETS]
     for k in ks:
         lo = k * size
@@ -344,9 +333,8 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     """Upper bound on the bytes a build allocates, every array counted at
     once; with store=False, on those of count_at at that many points."""
     n_j, workers = (limit + 1) // 6, _worker_count(threads, _n_windows(limit))
-    if not store and n_j <= SEGMENT_SIZE:
-        # Bytearray planes, three ints of a plane's bytes, the twin flags.
-        return limit + 16384 + 1024 * points
+    if not store and n_j <= SEGMENT_SIZE:  # prime_flags' bytes, the answers
+        return 11 * limit // 30 + 16384 + 1024 * points
     root = math.isqrt(limit)
     # small_primes, then int64s and lists of ints, ~140 bytes per prime, of
     # which there are at most 1.25506 root / ln root (Rosser and Schoenfeld),
@@ -439,7 +427,7 @@ Counts = PrimeSieve | PointCounts
 
 def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
     """{x: (pi(x), pi2(x))} for sorted xs >= 2, counted from the windows of
-    _windows up to xs[-1] as they pass, or else on bytearray planes."""
+    _windows up to xs[-1] as they pass, or else on prime_flags."""
     if not xs:
         return {}
     limit, size = xs[-1], SEGMENT_SIZE
@@ -471,14 +459,11 @@ def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
         for run_total, run_below in _fan_out(count_run, threads, n_windows):
             below.update((k, total[k[1]] + n) for k, n in run_below.items())
             total = [a + b for a, b in zip(total, run_total)]
-    else:  # on bytearray planes, each key's count from the key before
-        a, b = _plane_flags(limit)
-        # A & B as integers, as each flag byte is 0 or 1.
-        twins = int.from_bytes(a, "little") & int.from_bytes(b, "little")
-        flags, start = (a, b, twins.to_bytes(len(b), "little")), [0] * 3
+    else:  # A, B and A & B below j: prime_flags' 1s, 2s and 1, 2s below 2j
+        flags, start = prime_flags(limit), [0] * 3
         for j, i in keys:
-            total[i] += flags[i].count(1, start[i], j)
-            start[i], below[j, i] = j, total[i]
+            total[i] += flags.count((b"\1", b"\2", b"\1\2")[i], start[i], 2 * j)
+            start[i], below[j, i] = 2 * j, total[i]
     return {x: (min(x - 1, 2) + below[(x + 1) // 6, 0] + below[(x - 1) // 6, 1],
                 (x >= 5) + below[(x - 1) // 6, 2]) for x in xs}
 
@@ -488,7 +473,7 @@ def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     each pi(x), from two passes that keep no store, one to the largest x and
     one over the distinct pi(x), each holding the base primes, a window per
     worker and its answers: both on numpy windows if the largest x lies past
-    the first window, else both on bytearray planes."""
+    the first window, else both on prime_flags."""
     xs = sorted(set(xs))
     if xs and not 2 <= xs[0] <= xs[-1] <= limit:
         raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")

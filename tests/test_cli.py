@@ -231,6 +231,7 @@ _RENDERED = {
     "check.json": (["check", *_M, "--format", "json"], 2),
     "estimate-pmax1e7.stdout": (
         ["estimate", "--x", "1000000", "--euler-pmax", "10000000"], 0),
+    "estimate-x6291460.stdout": (["estimate", "--x", "6291460"], 0),
 }
 
 
@@ -273,6 +274,41 @@ def test_a_check_process_writes_the_golden_json(tmp_path):
     proc = run_cli("check", *_M, "--format", "json", "--out", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
     assert out.read_bytes() == (GOLDEN / "check.json").read_bytes()
+
+
+def test_check_sieves_its_flags_once(monkeypatch, capsys):
+    # The count to 10**6 sieves prime_flags; its pass over pi(x), the
+    # suite's small_primes and first_primes, and the Euler ladder to 10**6
+    # read a prefix of that one sieve.
+    from twinprimes import estimators, legendre, sieve
+
+    real, reads = sieve.prime_flags, []
+
+    def prime_flags(limit):
+        held, caller = len(sieve._flags), sys._getframe(1)
+        if caller.f_code.co_name == "small_primes":
+            caller = caller.f_back
+        flags = real(limit)
+        reads.append((caller.f_code.co_name, limit, len(flags) > held))
+        return flags
+
+    monkeypatch.setattr(sieve, "_flags", bytearray())
+    monkeypatch.setattr(sieve, "prime_flags", prime_flags)
+    monkeypatch.setattr(estimators, "prime_flags", prime_flags)
+    legendre.first_primes.cache_clear()
+    estimators.twin_prime_constant.cache_clear()
+    try:
+        assert main(["check", *_M]) == 2
+    finally:
+        legendre.first_primes.cache_clear()
+        estimators.twin_prime_constant.cache_clear()
+    assert capsys.readouterr().out == (
+        CASES / "golden" / "check.stdout").read_text()
+    assert [(c, n) for c, n, sieved in reads if sieved] == [
+        ("_count_pass", 10**6)]
+    callers = [c for c, _, _ in reads]
+    assert callers.count("_count_pass") == 2
+    assert {"checks", "first_primes", "_p_minus_ones"} <= set(callers)
 
 
 def test_check_and_reproduce_are_identical_on_two_workers(tmp_path,

@@ -178,26 +178,73 @@ def test_small_primes_refuses_a_limit_beyond_the_budget(monkeypatch):
     with pytest.raises(MemoryBudgetError):
         small_primes(10**12)
     # The bound is not below what the call really holds at 10**6 (the next
-    # test's ceiling), on top of what the process holds.
+    # test's ceiling), on top of what the process holds: the flags, which
+    # prime_flags admits, and the array.  A refusal sieves no flags.
+    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 10**8)
-    held = 2 * 10**6 // 3 + 9 * 78_498
+    held = 11 * 10**6 // 30 + 16384 + 9 * 78_498
     monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", 10**8 + held)
     with pytest.raises(MemoryBudgetError):
         small_primes(10**6)
+    assert not sieve_mod._flags
     assert len(small_primes(10**5)) == 9592
 
 
-def test_small_primes_holds_the_flags_and_one_index_array():
-    # A flag byte per 6j + 5 and 6j + 7 in the planes and again in their
-    # interleaved copy, and 8 bytes per prime for the array with a sixteenth
-    # for its growth; a copy of the primes would take 8 bytes more per prime.
+def test_small_primes_holds_the_flags_and_one_index_array(monkeypatch):
+    # What prime_flags admits, a flag byte per 6j + 5 and 6j + 7 and the
+    # zeros of one slice write, and 8 bytes per prime for the array with a
+    # sixteenth for its growth; a copy of the flags or of the primes would
+    # pass it.
+    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
     tracemalloc.start()
     try:
         small_primes(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 10**6 // 3 + 9 * 78_498
+    assert peak <= 11 * 10**6 // 30 + 16384 + 9 * 78_498
+
+
+def _candidate_flags(limit):
+    """prime_flags' layout flag by flag, by trial division: 1 at each prime
+    6j + 5, 2 at each prime 6j + 7, 0 at the other such numbers <= limit."""
+    ns = sorted([*range(5, limit + 1, 6), *range(7, limit + 1, 6)])
+    return bytearray((1 + (n % 6 == 1)) * oracles.is_prime_trial(n)
+                     for n in ns)
+
+
+def test_prime_flags_at_every_small_limit(trial_twin_1e4, monkeypatch):
+    # Each limit sieved afresh, so that each ends where its own sieve ends.
+    # A twin pair past (3, 5) is the bytes 1, 2, at an even offset only.
+    want = _candidate_flags(3000)
+    for limit in range(5, 3001):
+        monkeypatch.setattr(sieve_mod, "_flags", bytearray())
+        flags = sieve_mod.prime_flags(limit)
+        assert flags == want[: (limit + 1) // 6 + (limit - 1) // 6], limit
+        assert flags.count(b"\x01\x02") == trial_twin_1e4[limit] - 1, limit
+
+
+def test_prime_flags_at_the_largest_one_window_limit(monkeypatch):
+    # 6 * 2**20 + 4, the largest limit that a count reads off prime_flags.
+    limit = 6 * 2**20 + 4
+    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
+    a, b = _plain_plane_flags(limit)
+    want = np.zeros(len(a) + len(b), dtype=np.uint8)
+    want[::2], want[1::2] = a, 2 * b
+    flags = sieve_mod.prime_flags(limit)
+    assert flags == want.tobytes()
+    assert flags.count(b"\x01\x02") == np.count_nonzero(a[: len(b)] & b)
+    assert flags.count(b"\x01\x02") == 39_530 - 1
+
+
+def test_sixth_is_the_inverse_of_6_modulo_each_base_prime():
+    # The closed form that _windows takes, on int64s, for each prime past
+    # the pre-sieve: pow's inverse for all 78,492 in (13, 10**6], also on ints.
+    primes = small_primes(10**6)[6:]
+    want = [pow(6, -1, p) for p in primes]
+    assert len(want) == 78_492 and primes[0] == 17
+    assert sieve_mod._sixth(np.array(primes, dtype=np.int64)).tolist() == want
+    assert [sieve_mod._sixth(p) for p in primes] == want
 
 
 def test_repeated_builds_are_deterministic():
@@ -591,9 +638,9 @@ def test_count_at_answers_only_its_points():
 
 def test_one_window_pass_matches_trial_division(trial_pi_1e4,
                                                 trial_twin_1e4, monkeypatch):
-    # Below 300 every pass counts on the bytearray planes of one window,
-    # never on the windows of numpy.  A pass at one x reads each plane in
-    # one span; a pass at every x splits them between spans.
+    # Below 300 every pass counts on prime_flags, within one window, never
+    # on the windows of numpy.  A pass at one x reads the flags in one span;
+    # a pass at every x splits them between spans.
     def no_windows(*args):
         raise AssertionError("a one-window pass sieved windows")
 
@@ -723,16 +770,17 @@ def test_a_multi_window_count_never_counts_on_bytearray_planes(
         oracle_3e5, monkeypatch):
     # Both passes of a count past one window use the windows, also the pass
     # over pi(x), which would fit in one: 3 * 10**5 spans 7 windows of 8192
-    # j-values, and pi(3 * 10**5) = 25,997 lies in the first.  Bytearray
-    # planes sieve only the base primes, up to sqrt(3 * 10**5) = 547.
+    # j-values, and pi(3 * 10**5) = 25,997 lies in the first.  The bytearray
+    # flags of prime_flags serve only the base primes, up to
+    # sqrt(3 * 10**5) = 547.
     sieved = []
 
-    def plane_flags(limit):
+    def prime_flags(limit):
         sieved.append(limit)
-        return plane_flags.wrapped(limit)
+        return prime_flags.wrapped(limit)
 
-    plane_flags.wrapped = sieve_mod._plane_flags
-    monkeypatch.setattr(sieve_mod, "_plane_flags", plane_flags)
+    prime_flags.wrapped = sieve_mod.prime_flags
+    monkeypatch.setattr(sieve_mod, "prime_flags", prime_flags)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 2**13)
     limit = 3 * 10**5
     counts = count_at(limit, [10**4, limit])
@@ -783,16 +831,17 @@ def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
 def test_budget_counts_what_the_process_holds(monkeypatch):
     # A budget one byte below what the process holds plus the estimate
     # refuses; the estimate alone would fit.
+    # small_primes admits what prime_flags does with its array, at once.
     held, limit = 10**8, 10**6
     monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: held)
-    growth = 2 * limit // 3 + 16384 + 9 * math.ceil(
-        1.25506 * limit / math.log(limit))
-    # prime_flags serves a limit that its held sieve covers, unadmitted.
-    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
+    flags = 11 * limit // 30 + 16384
+    array = 9 * math.ceil(1.25506 * limit / math.log(limit))
     for run, need in ((build_sieve, held + _estimate_bytes(limit, 1)),
                       (pi_pi2, held + _estimate_bytes(limit, 1, False, 1)),
-                      (small_primes, held + growth),
-                      (sieve_mod.prime_flags, held + 2 * limit // 3 + 16384)):
+                      (small_primes, held + flags + array),
+                      (sieve_mod.prime_flags, held + flags)):
+        # prime_flags serves a limit that its held sieve covers, unadmitted.
+        monkeypatch.setattr(sieve_mod, "_flags", bytearray())
         monkeypatch.setattr("twinprimes.sieve.DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(MemoryBudgetError):
             run(limit)
