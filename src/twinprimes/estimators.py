@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import accumulate, chain, compress, cycle, islice
+from itertools import accumulate, chain, compress, cycle
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import DEFAULT_EULER_PMAX, DEFAULT_H_C
@@ -92,45 +92,27 @@ def sandwich_bounds(x: int) -> tuple[float, float]:
     return a, b
 
 
-def _p_minus_ones(top: int, pmaxes: Sequence[int]):
-    """For each of the increasing pmaxes <= top, p - 1.0 for the odd primes
-    p in (the pmax before, pmax], in order, from the flag sieve of top: 2.0
-    for 3, then those of 5, 7, 11, 13, ... that it flags.  Read each in turn."""
-    if min(pmaxes, default=top) < 3:
-        raise ValueError(f"pmax must be >= 3, got {min(pmaxes, default=top)}")
-    flags, lo = memoryview(prime_flags(top)), 0
+def _p_minus_ones(pmax: int):
+    """p - 1.0 for the odd primes p <= pmax, in order, from the flag sieve of
+    pmax: 2.0 for 3, then those of 5, 7, 11, 13, ... that it flags."""
+    if pmax < 3:
+        raise ValueError(f"pmax must be >= 3, got {pmax}")
+    hi = (pmax + 1) // 6 + (pmax - 1) // 6  # the candidates <= pmax
     qs = accumulate(cycle((2.0, 4.0)), initial=4.0)
-    for i, pmax in enumerate(pmaxes):
-        hi = (pmax + 1) // 6 + (pmax - 1) // 6  # the candidates <= pmax
-        yield chain((2.0,)[: not i], compress(islice(qs, hi - lo),
-                                              flags[lo:hi]))
-        lo = hi
+    return chain((2.0,), compress(qs, memoryview(prime_flags(pmax))[:hi]))
 
 
 @lru_cache(maxsize=16)
 def twin_prime_constant(pmax: int) -> float:
     """2 * prod_{3 <= p <= pmax} (1 - 1/(p-1)**2), decreasing in pmax."""
-    [qs] = _p_minus_ones(pmax, [pmax])
     # q * q is q ** 2 to the bit: exact for even q < 1.89e8, and past 2**27
     # each factor rounds to 1.0 either way.
-    return 2.0 * math.prod(1.0 - 1.0 / (q * q) for q in qs)
-
-
-def twin_prime_constants(pmaxes: Sequence[int]) -> list[float]:
-    """twin_prime_constant at each of the increasing pmaxes, from one sieve:
-    the last one's, as cached, and each other's from one running product,
-    continued rung by rung: the same factors in the same order as its own."""
-    r, consts = 1, []
-    for qs in _p_minus_ones(pmaxes[-1], pmaxes[:-1]):
-        r = math.prod((1.0 - 1.0 / (q * q) for q in qs), start=r)
-        consts.append(2.0 * r)
-    return consts + [twin_prime_constant(pmaxes[-1])]
+    return 2.0 * math.prod(1.0 - 1.0 / (q * q) for q in _p_minus_ones(pmax))
 
 
 def twin_ratio_product(pmax: int) -> float:
     """prod_{3 <= p <= pmax} (p-1)/(p-2); diverges as pmax grows."""
-    [qs] = _p_minus_ones(pmax, [pmax])
-    return math.prod(q / (q - 1.0) for q in qs)
+    return math.prod(q / (q - 1.0) for q in _p_minus_ones(pmax))
 
 
 def hardy_littlewood_simple(x: int, euler_pmax: int = DEFAULT_EULER_PMAX) -> float:

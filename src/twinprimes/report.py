@@ -324,8 +324,11 @@ def _phi_table(y: int, r: int) -> list[list[int]]:
     phi(v, k) at every v <= y."""
     rough = bytearray(b"\x00") + bytearray(b"\x01") * y
     rows = [[*accumulate(rough)]]
-    for p in legendre.first_primes(r):
-        rough[p::p] = bytearray(y // p)
+    for _ in range(r):
+        # The next prime, the least v > 1 still rough, found here rather than
+        # read from first_primes, which both phi routes read.
+        if (p := rough.find(1, 2)) > 0:  # else none <= y: the rows repeat
+            rough[p::p] = bytearray(y // p)
         rows.append([*accumulate(rough)])
     return rows
 
@@ -429,7 +432,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
         # Coarser truncations, then the run's own (capped at 10**6).
         top = min(10**6, cfg.euler_pmax)
         ladder = [p for p in (100, 10**3, 10**4, 10**5) if p < top] + [top]
-        consts = estimators.twin_prime_constants(ladder)
+        consts = [estimators.twin_prime_constant(p) for p in ladder]
         ok = all(b < a for a, b in zip(consts, consts[1:]))
         yield InvariantCheck(
             "twin_constant_monotone", ok,

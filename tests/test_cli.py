@@ -220,8 +220,8 @@ def test_sweep_stdout_matches_golden(name, capsys, monkeypatch):
 
 
 # Output that the sweep does not pin: the other formats, and the files of
-# `reproduce`, captured at 10**6; and the Euler products to the bit at ten
-# times the sweep's pmax.
+# `reproduce`, captured at 10**6; the Euler products to the bit at ten times
+# the sweep's pmax; and check's C2 past its ladder's top rung of 10**6.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 _M = ["--limit", "1000000"]
 _RENDERED = {
@@ -229,6 +229,7 @@ _RENDERED = {
        for t in (1, 2, 3) for fmt in ("text", "json")},
     "audit.json": (["audit", *_M, "--format", "json"], 3),
     "check.json": (["check", *_M, "--format", "json"], 2),
+    "check-pmax3e6.stdout": (["check", *_M, "--euler-pmax", "3000000"], 2),
     "estimate-pmax1e7.stdout": (
         ["estimate", "--x", "1000000", "--euler-pmax", "10000000"], 0),
     "estimate-x6291460.stdout": (["estimate", "--x", "6291460"], 0),
@@ -279,10 +280,16 @@ def test_a_check_process_writes_the_golden_json(tmp_path):
 def test_check_sieves_its_flags_once(monkeypatch, capsys):
     # The count to 10**6 sieves prime_flags; its pass over pi(x), the
     # suite's small_primes and first_primes, and the Euler ladder to 10**6
-    # read a prefix of that one sieve.
+    # read a prefix of that one sieve.  Each truncation of the ladder is
+    # streamed once; the run's C2 is its cached top rung.
     from twinprimes import estimators, legendre, sieve
 
     real, reads = sieve.prime_flags, []
+    real_p_minus_ones, streamed = estimators._p_minus_ones, []
+
+    def p_minus_ones(pmax):
+        streamed.append(pmax)
+        return real_p_minus_ones(pmax)
 
     def prime_flags(limit):
         held, caller = len(sieve._flags), sys._getframe(1)
@@ -295,6 +302,7 @@ def test_check_sieves_its_flags_once(monkeypatch, capsys):
     monkeypatch.setattr(sieve, "_flags", bytearray())
     monkeypatch.setattr(sieve, "prime_flags", prime_flags)
     monkeypatch.setattr(estimators, "prime_flags", prime_flags)
+    monkeypatch.setattr(estimators, "_p_minus_ones", p_minus_ones)
     legendre.first_primes.cache_clear()
     estimators.twin_prime_constant.cache_clear()
     try:
@@ -309,6 +317,7 @@ def test_check_sieves_its_flags_once(monkeypatch, capsys):
     callers = [c for c, _, _ in reads]
     assert callers.count("_count_pass") == 2
     assert {"checks", "first_primes", "_p_minus_ones"} <= set(callers)
+    assert streamed == [10**6, 100, 10**3, 10**4, 10**5]
 
 
 def test_check_and_reproduce_are_identical_on_two_workers(tmp_path,

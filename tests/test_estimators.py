@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinprimes import estimators
 from twinprimes import (
     EstimateRow,
     RunConfig,
@@ -371,7 +370,7 @@ def test_streamed_products_are_the_naive_products_bit_for_bit(oracle_primes):
     [100, 10**3, 10**4, 10**5, 10**6],        # the suite's
 ])
 def test_each_rung_of_a_ladder_is_its_naive_product(oracle_primes, ladder):
-    got = [c.hex() for c in estimators.twin_prime_constants(ladder)]
+    got = [twin_prime_constant(pmax).hex() for pmax in ladder]
     assert got == [_naive_products(oracle_primes, pmax)[0]
                    for pmax in ladder]
 

@@ -289,7 +289,8 @@ def test_streamed_euler_products_take_only_their_flag_sieve(pmax,
     estimators.twin_prime_constant.cache_clear()
     tracemalloc.start()
     try:
-        estimators.twin_prime_constants([100, 10**5, pmax])
+        for p in (pmax, 100, 10**5):  # the run's C2, then the ladder
+            estimators.twin_prime_constant(p)
         estimators.twin_ratio_product(pmax)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -324,7 +324,7 @@ class TestInvariantSuite:
             own = [2.0 * math.prod(1.0 - 1.0 / (p - 1.0) ** 2
                                    for p in small_primes(pmax)[1:])
                    for pmax in ladder]
-            assert estimators.twin_prime_constants(ladder) == own
+            assert [estimators.twin_prime_constant(p) for p in ladder] == own
             assert _check(suite, "twin_constant_monotone").detail == (
                 f"truncations {ladder} -> {[f'{c:.9f}' for c in own]}")
         assert flag_sieves == [12_347, 3 * 10**6]
@@ -369,6 +369,32 @@ class TestInvariantSuite:
         assert bad[:5] == [(1, 0), (4, 1), (4, 2), (7, 1), (7, 2)]
         assert (check.passed, check.detail) == (
             False, f"violations at {bad[:5]}")
+
+    def test_phi_routes_fail_when_first_primes_skips_17(self, sieve_1e6,
+                                                        monkeypatch):
+        # Both routes read first_primes; the scan finds its primes itself,
+        # so a first_primes that skips 17 puts them at odds with it.
+        from twinprimes import legendre
+
+        real = legendre.first_primes
+        monkeypatch.setattr(legendre, "first_primes", lambda r: tuple(
+            p for p in real(r + 1) if p != 17)[:r])
+        check = _check(run_invariant_suite(sieve_1e6, RunConfig()),
+                       "phi_two_routes_vs_bruteforce")
+        assert not check.passed
+        assert check.detail.startswith("disagreements at [(294, 7),")
+
+    def test_phi_table_is_the_scan_of_the_first_primes(self):
+        # Every row, also past the last prime <= y, where the rows repeat.
+        from twinprimes.report import _phi_table
+
+        primes = oracles.primes_upto_trial(29)
+        for y in [*range(0, 40), 120]:
+            table = _phi_table(y, 10)
+            assert len(table) == 11
+            for r, row in enumerate(table):
+                assert row == [oracles.phi_scan(v, r, primes)
+                               for v in range(y + 1)], (y, r)
 
     def test_text_rendering_lists_every_check(self, suite_1e6):
         text = render_invariants_text(suite_1e6)
