@@ -9,10 +9,10 @@ SEGMENT_SIZE j-values of both planes at a time, runs of windows in forked
 workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
 a slice per plane for each larger base prime.  build_sieve keeps them, with
 popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
-Jacobson 1989, Vigna 2008); count_at counts each window as it passes, with
-the same _block_counts and _prefix_count, in O(sqrt(x)) memory, or within
-one window on prime_flags, A and B interleaved in one bytearray that also
-serves small_primes and the Euler products.  A second pass gives pi(pi(x)).
+Jacobson 1989, Vigna 2008); count_at joins per-window totals, 24 bytes a
+window, from the same _block_counts and _prefix_count, re-sieving the
+windows that hold a pi(x), or counts in one window on prime_flags, the
+bytearray that also serves small_primes and the Euler products.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ def prime_flags(limit: int) -> bytearray:
     global _flags
     n = (limit + 1) // 6 + (limit - 1) // 6
     if len(_flags) < n:
+        _flags = bytearray()  # not held beside the longer flags
         _admit(11 * limit // 30 + 16384, DEFAULT_MEMORY_BUDGET)
         flags = bytearray(b"\x01\x02") * -(-n // 2)
         del flags[n:]  # in place: a copy would double the peak
@@ -353,9 +354,10 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
         # three int64s per block and a total each, small objects.
         return 13 * n + 3 * 8 * (n // _BLOCK + 1) + 16384
 
-    if not store:  # a window and its block counts per worker, the answers
+    if not store:  # a window and its block counts per worker, the answers,
+        # and 3 int64s a window, five copies at most as they are joined
         return (base + forks + workers * (window + block_counts(words))
-                + 1024 * points)
+                + 1024 * points + 5 * 24 * _n_windows(limit))
     held = _BLOCK * -(-n_j // (64 * _BLOCK))  # <u8 words of a plane
     # The planes, whose pages a worker writes are in its RSS and again in
     # the parent's, their directory and one window's slice of it at a time.
@@ -425,63 +427,61 @@ class PointCounts(dict):
 Counts = PrimeSieve | PointCounts
 
 
-def _count_pass(xs: list[int], threads: int, windowed: bool) -> dict:
-    """{x: (pi(x), pi2(x))} for sorted xs >= 2, counted from the windows of
-    _windows up to xs[-1] as they pass, or else on prime_flags."""
-    if not xs:
-        return {}
-    limit, size = xs[-1], SEGMENT_SIZE
-    # (j, i): an x's primes in A, in B and its twin pairs past (3, 5) are
-    # the set bits below j of A, B and A & B for i = 0, 1, 2.
-    keys = sorted({k for x in xs for k in (((x + 1) // 6, 0),
-                                            ((x - 1) // 6, 1),
-                                            ((x - 1) // 6, 2))})
-    js = [j for j, _ in keys]
-    n_windows = _n_windows(limit)
+def _count_pass(xs: list[int], top: int, threads: int) -> dict:
+    """{x: (pi(x), pi2(x))} at sorted xs in [2, top], then at each pi(x) >= 2,
+    on prime_flags, or else on the windows to top: each once, then each that
+    holds a pi(x) again, and a key's bits in it join the windows before it."""
+    size, n_windows, counts = SEGMENT_SIZE, _n_windows(top), {}
+    if n_windows > 1:  # imported before the guard, which counts it as held
+        import numpy as np
+    _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
+    primes = small_primes(math.isqrt(top)) if n_windows > 1 else None
 
-    def count_run(ks: range):
-        # Set bits of each kind in a run of windows, each key's from the
-        # run's start.  A key past the last window is answered in the last.
-        total, below = [0] * 3, {}
-        for k, (a, b) in _windows(limit, primes, ks):
+    def count_run(parts):
+        # Each window's totals of A, B and A & B, and its keys' bits within it.
+        totals, run = array("q"), {}
+        for k, (a, b) in _windows(top, primes, (ks[n] for n in parts)):
             cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
             hi = bisect_left(js, (k + 1) * size) if k + 1 < n_windows else None
             for j, i in keys[bisect_left(js, k * size) : hi]:
-                below[j, i] = total[i] + _prefix_count(cum[i], j - k * size,
-                                                       *rows[i])
-            total = [n + m for n, m in zip(total, cum[:, -1].tolist())]
+                run[j, i] = _prefix_count(cum[i], j - k * size, *rows[i])
+            totals.extend(cum[:, -1].tolist())
             del cum, rows, a, b  # before the next window is sieved
-        return total, below
+        return totals, run
 
-    total, below = [0] * 3, {}
-    if windowed:
-        primes = small_primes(math.isqrt(limit))
-        for run_total, run_below in _fan_out(count_run, threads, n_windows):
-            below.update((k, total[k[1]] + n) for k, n in run_below.items())
-            total = [a + b for a, b in zip(total, run_total)]
-    else:  # A, B and A & B below j: prime_flags' 1s, 2s and 1, 2s below 2j
-        flags, start = prime_flags(limit), [0] * 3
-        for j, i in keys:
-            total[i] += flags.count((b"\1", b"\2", b"\1\2")[i], start[i], 2 * j)
-            start[i], below[j, i] = 2 * j, total[i]
-    return {x: (min(x - 1, 2) + below[(x + 1) // 6, 0] + below[(x - 1) // 6, 1],
-                (x >= 5) + below[(x - 1) // 6, 2]) for x in xs}
+    for points in (xs, None):  # then each pi(x) >= 2
+        points = points or sorted({p for p, _ in counts.values() if p >= 2})
+        # (j, i): a point's primes in A, in B and its twin pairs past (3, 5)
+        # are the set bits below j of A, B and A & B for i = 0, 1, 2.
+        keys = sorted({k for x in points for k in (
+            ((x + 1) // 6, 0), ((x - 1) // 6, 1), ((x - 1) // 6, 2))})
+        js, total, below = [j for j, _ in keys], [0] * 3, {}
+        if n_windows > 1:  # a key past the last window is in the last
+            ks = range(n_windows) if points is xs else sorted(
+                {min(j // size, n_windows - 1) for j in js})
+            runs = _fan_out(count_run, threads, len(ks))
+            if points is xs:  # the set bits of each kind before each window
+                t = np.frombuffer(b"".join(t for t, _ in runs), "q")
+                before = np.cumsum(t.reshape(-1, 3), axis=0) - t.reshape(-1, 3)
+            below = {(j, i): before.item(min(j // size, n_windows - 1), i) + n
+                     for _, run in runs for (j, i), n in run.items()}
+        else:  # A, B and A & B below j: prime_flags' 1s, 2s and 1, 2s below 2j
+            flags, start = prime_flags(top), [0] * 3
+            for j, i in keys:
+                total[i] += flags.count((b"\1", b"\2", b"\1\2")[i], start[i],
+                                        2 * j)
+                start[i], below[j, i] = 2 * j, total[i]
+        counts |= {x: (min(x - 1, 2) + below[(x + 1) // 6, 0]
+                       + below[(x - 1) // 6, 1],
+                       (x >= 5) + below[(x - 1) // 6, 2]) for x in points}
+    return counts
 
 
 def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     """A store's pi and pi2 over [2, limit] at each x in xs, and its pi at
-    each pi(x), from two passes that keep no store, one to the largest x and
-    one over the distinct pi(x), each holding the base primes, a window per
-    worker and its answers: both on numpy windows if the largest x lies past
-    the first window, else both on prime_flags."""
+    each pi(x), from one pass that keeps no store and holds the base primes,
+    a window per worker, three totals per window and the answers."""
     xs = sorted(set(xs))
     if xs and not 2 <= xs[0] <= xs[-1] <= limit:
         raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
-    top = xs[-1] if xs else 2
-    windowed = _n_windows(top) > 1
-    if windowed:  # imported before the guard, which counts it as held
-        import numpy  # noqa: F401
-    _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
-    counts = _count_pass(xs, threads, windowed)
-    pis = sorted({pi for pi, _ in counts.values() if pi >= 2})
-    return PointCounts(limit, {**_count_pass(pis, threads, windowed), **counts})
+    return PointCounts(limit, _count_pass(xs, xs[-1] if xs else 2, threads))

@@ -233,6 +233,8 @@ _RENDERED = {
     "estimate-pmax1e7.stdout": (
         ["estimate", "--x", "1000000", "--euler-pmax", "10000000"], 0),
     "estimate-x6291460.stdout": (["estimate", "--x", "6291460"], 0),
+    "sieve-1e9.stdout": (
+        ["sieve", "--limit", "1000000000", "--threads", "2"], 0),
 }
 
 
@@ -278,7 +280,7 @@ def test_a_check_process_writes_the_golden_json(tmp_path):
 
 
 def test_check_sieves_its_flags_once(monkeypatch, capsys):
-    # The count to 10**6 sieves prime_flags; its pass over pi(x), the
+    # The count to 10**6 sieves prime_flags; its count at each pi(x), the
     # suite's small_primes and first_primes, and the Euler ladder to 10**6
     # read a prefix of that one sieve.  Each truncation of the ladder is
     # streamed once; the run's C2 is its cached top rung.

@@ -285,15 +285,18 @@ def test_streamed_euler_products_take_only_their_flag_sieve(pmax,
     # What prime_flags admits, the flags and the zeros of one slice write;
     # a copy of the flags, or an array of the primes up to pmax beside
     # them, would pass it.
-    monkeypatch.setattr(sieve_mod, "_flags", bytearray())
-    estimators.twin_prime_constant.cache_clear()
-    tracemalloc.start()
-    try:
-        for p in (pmax, 100, 10**5):  # the run's C2, then the ladder
-            estimators.twin_prime_constant(p)
-        estimators.twin_ratio_product(pmax)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # The run's C2 then the ladder, and the ladder first: as the sieve grows,
+    # the shorter one it held is dropped before the longer one is built.
+    for rungs in ((pmax, 100, 10**5), (100, 10**5, pmax)):
+        monkeypatch.setattr(sieve_mod, "_flags", bytearray())
         estimators.twin_prime_constant.cache_clear()
-    assert peak <= 11 * pmax // 30 + 16384
+        tracemalloc.start()
+        try:
+            for p in rungs:
+                estimators.twin_prime_constant(p)
+            estimators.twin_ratio_product(pmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            estimators.twin_prime_constant.cache_clear()
+        assert peak <= 11 * pmax // 30 + 16384, rungs

@@ -412,7 +412,7 @@ def test_count_pass_matches_the_prefix_oracle(oracle_3e5, limit, threads,
 
 def test_count_pass_with_more_workers_than_cores(oracle_3e5, monkeypatch):
     # Eight forked workers on any host: each counts its own run of windows
-    # and sends back its own totals and edges.
+    # and sends back each window's totals and the bits of its keys.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr("twinprimes.sieve.SEGMENT_SIZE", 64)
     forks, fork = [], os.fork
@@ -429,8 +429,9 @@ def test_count_pass_with_more_workers_than_cores(oracle_3e5, monkeypatch):
         assert pi_pi2(limit, threads=8) == (
             oracle_3e5.count_primes_upto(limit),
             oracle_3e5.count_twins_upto(limit))
-        # seven a pass: to the limit, and to pi(limit) (25 and 68 windows)
-        assert len(forks) == 14, limit
+        # Seven for the pass to the limit; none to re-sieve the one window
+        # that holds pi(limit) (window 24, and 67).
+        assert len(forks) == 7, limit
     _no_child_left()
 
 
@@ -618,6 +619,85 @@ def test_count_at_matches_the_prefix_oracle_at_its_points(
         if pi >= 2:
             assert counts.count_primes_upto(pi) == oracle_3e5.count_primes_upto(
                 pi), x
+
+
+# Each edge of a window of 64 j-values, 64k - 1, 64k and 64k + 1 for k <= 67
+# (past pi(3 * 10**5) = 25,997, whose keys reach 4,333), and every pi whose
+# key, (pi + 1) // 6 in A or (pi - 1) // 6 in B, is one of them.
+_EDGE_PIS = [pi for k in range(1, 68) for j in (64 * k - 1, 64 * k, 64 * k + 1)
+             for pi in range(6 * j - 1, 6 * j + 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(2, 3 * 10**5), threads=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_totals_join_to_the_prefix_oracle(oracle_3e5, limit, threads,
+                                                 seed):
+    # Windows of 64 j-values on one to four workers: each window's totals
+    # and its keys' bits, joined in window order, answer every x and every
+    # pi(x).  The points hold random x and each x whose pi(x) has a key at
+    # the edge of a window that is sieved again for it.  On one worker, each
+    # window up to the limit is sieved once, then each that holds a key of
+    # a pi(x) once more.
+    primes = oracle_3e5.primes_upto(limit)
+    rng = np.random.default_rng(seed)
+    xs = [*rng.integers(2, limit, 50, endpoint=True).tolist(), limit,
+          *(primes[pi - 1] for pi in _EDGE_PIS if pi <= len(primes))]
+    sieved, windows = [], sieve_mod._windows
+
+    def spy(top, base, ks):
+        for k, words in windows(top, base, ks):
+            sieved.append(k)
+            yield k, words
+
+    with mock.patch.object(os, "cpu_count", lambda: 4), \
+            mock.patch.object(sieve_mod, "SEGMENT_SIZE", 64), \
+            mock.patch.object(sieve_mod, "_windows", spy):
+        counts = count_at(limit, xs, threads=threads)
+    pis = set()
+    for x in xs:
+        pi = oracle_3e5.count_primes_upto(x)
+        assert counts[x] == (pi, oracle_3e5.count_twins_upto(x)), x
+        if pi >= 2:
+            pis.add(pi)
+            assert counts[pi] == (oracle_3e5.count_primes_upto(pi),
+                                  oracle_3e5.count_twins_upto(pi)), x
+    n = max(1, -(-((limit + 1) // 6) // 64))
+    again = {min(j // 64, n - 1) for pi in pis
+             for j in ((pi + 1) // 6, (pi - 1) // 6)}
+    if threads == 1:
+        assert sieved == ([*range(n), *sorted(again)] if n > 1 else [])
+
+
+def test_a_pass_sieves_each_window_once_and_each_pi_window_again(
+        monkeypatch):
+    # Windows of 2**20 j-values: pi(10**8) = 5,761,455 lies in window 0 of
+    # 16, and pi(10**9) = 50,847,534 in window 8 of 159.  Each is sieved
+    # once more, from the base primes of the pass, which are found once.
+    sieved, found = [], []
+    windows, small = sieve_mod._windows, sieve_mod.small_primes
+
+    def spy(top, base, ks):
+        for k, words in windows(top, base, ks):
+            sieved.append(k)
+            yield k, words
+
+    def small_primes(limit, **kwargs):
+        found.append(limit)
+        return small(limit, **kwargs)
+
+    monkeypatch.setattr(sieve_mod, "_windows", spy)
+    monkeypatch.setattr(sieve_mod, "small_primes", small_primes)
+    for x, n, again, pi, pi_pi in ((10**8, 16, 0, 5_761_455, 397_557),
+                                   (10**9, 159, 8, 50_847_534, 3_048_955)):
+        sieved.clear()
+        found.clear()
+        counts = count_at(x, [x])
+        assert (counts.count_primes_upto(x), counts.count_primes_upto(pi)) == (
+            pi, pi_pi)
+        assert sieved == [*range(n), again], x
+        assert found == [math.isqrt(x)], x
+    assert counts.count_twins_upto(10**9) == 3_424_506
 
 
 def test_count_at_answers_only_its_points():
@@ -826,6 +906,26 @@ def test_count_pass_allocates_within_its_estimate(limit, monkeypatch):
                 tracemalloc.stop()
             assert peak <= _estimate_bytes(limit, 1, store=False,
                                            points=len(xs)), (threads, len(xs))
+
+
+def test_count_pass_allocates_within_its_estimate_over_many_windows(
+        monkeypatch):
+    # 782 windows of 64 j-values to 3 * 10**5: the 3 int64 totals of each,
+    # sent back by the worker, joined and summed, count in the estimate.  A
+    # first pass over a few windows imports what the pass loads on first use.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 64)
+    assert sieve_mod._n_windows(3 * 10**5) == 782
+    count_at(10**4, [10**4], threads=2)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            count_at(3 * 10**5, [3 * 10**5], threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimate_bytes(3 * 10**5, 1, store=False,
+                                       points=1), threads
 
 
 def test_budget_counts_what_the_process_holds(monkeypatch):
