@@ -217,12 +217,12 @@ def _classify(computed: float, reference: float, rounding) -> str:
 
 
 def audit_against_reference(sieve: Counts, cfg: RunConfig) -> AuditReport:
-    """Recompute every reference cell (x <= limit) and classify agreement."""
+    """Recompute and classify every reference cell with x <= cfg.limit."""
     ref = _ref()
     report = AuditReport([], [])
     for table_id in (1, 2, 3):
         rows = [r for r in ref[f"table{table_id}"]["rows"]
-                if r["x"] <= sieve.limit]
+                if r["x"] <= cfg.limit]
         for row, computed in zip(rows, table_rows(
                 table_id, sieve, [r["x"] for r in rows], cfg.h_c)):
             x = row["x"]
@@ -334,12 +334,12 @@ def _phi_table(y: int, r: int) -> list[list[int]]:
 
 
 def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
-    """Execute every module's invariant grid, clamped to the sieve limit.
+    """Execute every module's invariant grid, clamped to cfg.limit.
 
     Returns a named pass/fail per check, in order; the CLI turns any
     failure into a non-zero exit.
     """
-    grid, decades, xs = suite_points(sieve.limit)
+    grid, decades, xs = suite_points(cfg.limit)
     # pi, pi2 and pi(pi), counted once at every x that the checks below read.
     at = {row.x: row for row in counting.checkpoint_rows(
         sieve, sorted({*grid, *decades}))}
@@ -384,7 +384,7 @@ def run_invariant_suite(sieve: Counts, cfg: RunConfig) -> list[InvariantCheck]:
                 f"pi2/x and pi2/pi strictly decreasing over {decades}")
 
         # One r-rough table for both phi checks; the routes read its prefix.
-        y_top = min(10**4, sieve.limit)
+        y_top = min(10**4, cfg.limit)
         phi = _phi_table(y_top, 10)
         y_max, mism = min(2000, y_top), []
         ys = range(0, y_max + 1, 7)

@@ -355,9 +355,10 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
         return 13 * n + 3 * 8 * (n // _BLOCK + 1) + 16384
 
     if not store:  # a window and its block counts per worker, the answers,
-        # and 3 int64s a window, five copies at most as they are joined
+        # and 3 int64s a window twice: the runs' arrays and the one they are
+        # joined in (a child's run, pickled and then loaded, is two at most)
         return (base + forks + workers * (window + block_counts(words))
-                + 1024 * points + 5 * 24 * _n_windows(limit))
+                + 1024 * points + 2 * 24 * _n_windows(limit))
     held = _BLOCK * -(-n_j // (64 * _BLOCK))  # <u8 words of a plane
     # The planes, whose pages a worker writes are in its RSS and again in
     # the parent's, their directory and one window's slice of it at a time.
@@ -406,15 +407,11 @@ def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
 
 class PointCounts(dict):
     """{x: (pi(x), pi2(x))} at the points count_at counted, read as a store
-    over [2, limit] reads them; any other x raises SieveRangeError, so a
-    point that was not counted is never answered."""
-
-    def __init__(self, limit: int, counts: dict):
-        super().__init__(counts)
-        self.limit = limit
+    reads them; any other x raises SieveRangeError, so a point that was not
+    counted is never answered."""
 
     def __missing__(self, x):
-        raise SieveRangeError(f"x={x} was not counted (limit {self.limit})")
+        raise SieveRangeError(f"x={x} was not counted")
 
     def count_primes_upto(self, x: int) -> int:
         return self[x][0]
@@ -427,11 +424,19 @@ class PointCounts(dict):
 Counts = PrimeSieve | PointCounts
 
 
-def _count_pass(xs: list[int], top: int, threads: int) -> dict:
-    """{x: (pi(x), pi2(x))} at sorted xs in [2, top], then at each pi(x) >= 2,
-    on prime_flags, or else on the windows to top: each once, then each that
-    holds a pi(x) again, and a key's bits in it join the windows before it."""
-    size, n_windows, counts = SEGMENT_SIZE, _n_windows(top), {}
+def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
+    """A store's pi and pi2 over [2, limit] at each x in xs, then its pi at
+    each pi(x) >= 2, from one pass that keeps no store.  Within one window
+    it counts on prime_flags.  Past one, it sieves each window up to the
+    largest x once, then each window that holds a pi(x) again; a key's bits
+    in its window join the totals of the windows before it.  It holds the
+    base primes, a window per worker, three totals per window and the
+    answers."""
+    xs = sorted(set(xs))
+    if xs and not 2 <= xs[0] <= xs[-1] <= limit:
+        raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
+    top = xs[-1] if xs else 2
+    size, n_windows, counts = SEGMENT_SIZE, _n_windows(top), PointCounts()
     if n_windows > 1:  # imported before the guard, which counts it as held
         import numpy as np
     _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
@@ -460,9 +465,12 @@ def _count_pass(xs: list[int], top: int, threads: int) -> dict:
             ks = range(n_windows) if points is xs else sorted(
                 {min(j // size, n_windows - 1) for j in js})
             runs = _fan_out(count_run, threads, len(ks))
-            if points is xs:  # the set bits of each kind before each window
-                t = np.frombuffer(b"".join(t for t, _ in runs), "q")
-                before = np.cumsum(t.reshape(-1, 3), axis=0) - t.reshape(-1, 3)
+            if points is xs:  # row k: each kind's set bits before window k
+                before = array("q", (0, 0, 0))
+                for t, _ in runs:
+                    before.extend(t)
+                before = np.frombuffer(before, "q").reshape(-1, 3)
+                np.cumsum(before, axis=0, out=before)
             below = {(j, i): before.item(min(j // size, n_windows - 1), i) + n
                      for _, run in runs for (j, i), n in run.items()}
         else:  # A, B and A & B below j: prime_flags' 1s, 2s and 1, 2s below 2j
@@ -475,13 +483,3 @@ def _count_pass(xs: list[int], top: int, threads: int) -> dict:
                        + below[(x - 1) // 6, 1],
                        (x >= 5) + below[(x - 1) // 6, 2]) for x in points}
     return counts
-
-
-def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
-    """A store's pi and pi2 over [2, limit] at each x in xs, and its pi at
-    each pi(x), from one pass that keeps no store and holds the base primes,
-    a window per worker, three totals per window and the answers."""
-    xs = sorted(set(xs))
-    if xs and not 2 <= xs[0] <= xs[-1] <= limit:
-        raise SieveRangeError(f"points outside [2, {limit}]: {xs[0]}..{xs[-1]}")
-    return PointCounts(limit, _count_pass(xs, xs[-1] if xs else 2, threads))

@@ -429,9 +429,12 @@ class TestSuiteWorkers:
                                         50, 1999, 9999])
     def test_two_workers_give_the_same_checks_in_order(self, counts, request,
                                                        monkeypatch):
-        sieve = (request.getfixturevalue(counts) if isinstance(counts, str)
-                 else count_at(counts, chain(*suite_points(counts))))
-        cfg = RunConfig(limit=sieve.limit)
+        if isinstance(counts, str):
+            sieve = request.getfixturevalue(counts)
+            cfg = RunConfig(limit=sieve.limit)
+        else:
+            sieve = count_at(counts, chain(*suite_points(counts)))
+            cfg = RunConfig(limit=counts)
         one = run_invariant_suite(sieve, cfg)
         forks = _counted_forks(monkeypatch)
         two = run_invariant_suite(sieve, cfg._replace(threads=2))

@@ -702,7 +702,6 @@ def test_a_pass_sieves_each_window_once_and_each_pi_window_again(
 
 def test_count_at_answers_only_its_points():
     counts = count_at(10**4, [100, 5000])
-    assert counts.limit == 10**4
     assert (counts.count_primes_upto(5000), counts.count_twins_upto(5000)) == (
         669, 126)
     assert counts.count_primes_upto(25) == 9  # pi(pi(100))
@@ -926,6 +925,43 @@ def test_count_pass_allocates_within_its_estimate_over_many_windows(
             tracemalloc.stop()
         assert peak <= _estimate_bytes(3 * 10**5, 1, store=False,
                                        points=1), threads
+
+
+def test_window_totals_are_joined_in_two_copies(monkeypatch):
+    # 78,125 windows of 64 j-values to 3 * 10**7, each yielded empty: the
+    # pass then holds little more than its 1.8 MiB of totals, in the runs'
+    # arrays and in the one they are joined in.  A third copy alone passes
+    # the estimate's terms for the rest, so a join that keeps one fails.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 64)
+    empty = np.zeros(0, "<u8")
+    monkeypatch.setattr(sieve_mod, "_windows", lambda limit, primes, ks: (
+        (k, [empty, empty]) for k in ks))
+    limit = 3 * 10**7
+    totals = 24 * sieve_mod._n_windows(limit)
+    estimate = _estimate_bytes(limit, 1, store=False, points=1)
+    assert totals > estimate - 2 * totals
+    count_at(10**4, [10**4], threads=2)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            count_at(limit, [limit], threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, threads
+
+
+def test_count_budget_admits_totals_to_2_5e13(monkeypatch):
+    # Arithmetic only: no such pass is run.  With 64 MiB held, the base
+    # primes and two copies of 3 int64s per window fit the default budget at
+    # 2.5 * 10**13 (~244 MiB), and at 10**14 they do not.
+    monkeypatch.setattr(sieve_mod, "_rss_bytes", lambda: 64 * 2**20)
+    sieve_mod._admit(_estimate_bytes(25 * 10**12, 1, False, 1),
+                     sieve_mod.DEFAULT_MEMORY_BUDGET)
+    with pytest.raises(MemoryBudgetError):
+        sieve_mod._admit(_estimate_bytes(10**14, 1, False, 1),
+                         sieve_mod.DEFAULT_MEMORY_BUDGET)
 
 
 def test_budget_counts_what_the_process_holds(monkeypatch):
