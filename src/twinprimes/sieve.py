@@ -4,15 +4,15 @@ word store with O(1) prefix counts, and a pass that counts at given points.
 Past 3 every prime is 6j + 5 or 6j + 7, so two bit planes, A[j] for 6j + 5
 and B[j] for 6j + 7, give pi(x) = 2 + |A below (x + 1) // 6| + |B below
 (x - 1) // 6| (x >= 3) and, as every twin pair past (3, 5) is (6j + 5,
-6j + 7), pi2(x) = 1 + |A & B below (x - 1) // 6| (x >= 5).  _windows sieves
-SEGMENT_SIZE j-values of both planes at a time, runs of windows in forked
-workers, from a pre-sieve pattern of 5..13 (primesieve's; period 5,005) and
-a slice per plane for each larger base prime.  build_sieve keeps them, with
-popcounts of A, B and A & B per block of _BLOCK words (a rank directory:
-Jacobson 1989, Vigna 2008); count_at joins per-window totals, 24 bytes a
-window, from the same _block_counts and _prefix_count, re-sieving the
-windows that hold a pi(x), or counts in one window on prime_flags, the
-bytearray that also serves small_primes and the Euler products.
+6j + 7), pi2(x) = 1 + |A & B below (x - 1) // 6| (x >= 5).  _windows, set
+up once before any fork, sieves window k (SEGMENT_SIZE j-values of both
+planes) for any worker from a pattern of 5..13 (primesieve's; period 5,005)
+and a slice per larger base prime.  build_sieve keeps them, with popcounts
+of A, B and A & B per block of _BLOCK words (a rank directory: Jacobson
+1989, Vigna 2008); count_at joins per-window totals, 24 bytes a window,
+from the same _block_counts and _prefix_count, re-sieving the windows that
+hold a pi(x), or counts in one window on prime_flags, the bytearray that
+also serves small_primes and the Euler products.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, cycle, islice
+from itertools import accumulate, chain, compress, cycle, islice, product
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -129,29 +129,30 @@ def _sixth(p):
     return (1 + p * (-p % 6)) // 6
 
 
-def _windows(limit: int, primes: array, ks: range):
-    """Yield (k, [a, b]) for each window k in ks, in order, given the primes
-    up to sqrt(limit): bit i < SEGMENT_SIZE of words a (b) is A[j] (B[j]),
+def _windows(limit: int):
+    """The window sieve to limit, set up once for every worker: window(k)
+    returns (k, [a, b]), bit i < SEGMENT_SIZE of words a (b) being A[j] (B[j]),
     j = k * SEGMENT_SIZE + i, in whole blocks of _BLOCK words; 0 past both."""
     import numpy as np
     size = SEGMENT_SIZE
     # One reused flag per j, padded to whole blocks.
     seg = np.empty(64 * _BLOCK * -(-size // (64 * _BLOCK)), dtype=bool)
     rows, tail = divmod(len(seg), _PERIOD)
-    steps = primes[2 + len(_PRESIEVE):].tolist()  # past 13
+    steps = small_primes(math.isqrt(limit))[2 + len(_PRESIEVE):].tolist()
     p = np.array(steps, dtype=np.int64)
     # No j below the j of p * p in B (6j + 5 < p * p in A) is cleared.
     squares = (p * p - 7) // 6
-    # Per plane: its j-values up to limit; two periods of flags, False where
-    # a pre-sieve prime divides 6j + c, so a period can be read from any
-    # offset in the first; and the j, mod p, of each base prime's multiples.
-    planes = [((limit + 6 - c) // 6,
-               np.gcd(6 * np.arange(2 * _PERIOD) + c, _PERIOD) == 1,
-               -c * _sixth(p) % p)
-              for c in _OFFSETS]
-    for k in ks:
-        lo = k * size
-        words = []
+    # Per plane: its j-values up to limit; two periods of flags, False at the
+    # multiples of 5..13, so a period can be read from any offset in the
+    # first; and the j, mod p, of each base prime's multiples: 6j + c = 0.
+    patterns = np.ones((len(_OFFSETS), 2 * _PERIOD), dtype=bool)
+    for (pattern, c), q in product(zip(patterns, _OFFSETS), _PRESIEVE):
+        pattern[-c * _sixth(q) % q :: q] = False
+    planes = [((limit + 6 - c) // 6, pattern, -c * _sixth(p) % p)
+              for pattern, c in zip(patterns, _OFFSETS)]
+
+    def window(k: int):
+        lo, words = k * size, []
         for n_j, pattern, residues in planes:
             hi = min(lo + size, n_j)
             row = pattern[lo % _PERIOD :][:_PERIOD]
@@ -170,7 +171,8 @@ def _windows(limit: int, primes: array, ks: range):
             # j lands in bit j % 8 of byte j // 8, so in bit j % 64 of
             # little-endian word j // 64, whatever the host's byte order.
             words.append(np.packbits(seg, bitorder="little").view("<u8"))
-        yield k, words
+        return k, words
+    return window
 
 
 def _worker_count(threads: int, n_parts: int) -> int:
@@ -182,32 +184,32 @@ def _worker_count(threads: int, n_parts: int) -> int:
     return max(1, min(threads, n_parts, cpus))
 
 
-def _fan_out(work, threads: int, n_parts: int) -> list:
-    """[work(ks) for each worker's run ks of parts 0..n_parts-1], the runs
+def _fan_out(work, threads: int, ks) -> list:
+    """[work(run) for each worker's run of the window indices ks], the runs
     contiguous, non-empty and in order; on one worker, one call.  Else the
     caller runs the first, and a forked child each other one, passed as a
-    generator that work must iterate: it stops the child at its next part
+    generator that work must iterate: it stops the child at its next window
     if orphaned.  A child pickles back its result or exception.  Children
     are reaped, killed first if the caller's run failed; one that ends
     without a result raises ChildProcessError.  SIGINT waits while children
     are forked and while they are reaped, so a Ctrl-C leaves none behind."""
-    workers = _worker_count(threads, n_parts)
+    workers = _worker_count(threads, len(ks))
     if workers == 1:
-        return [work(range(n_parts))]
+        return [work(ks)]
     import pickle
     from signal import SIG_BLOCK, SIG_UNBLOCK, SIGINT, SIGKILL, pthread_sigmask
-    runs = [range(i * n_parts // workers, (i + 1) * n_parts // workers)
+    runs = [ks[i * len(ks) // workers : (i + 1) * len(ks) // workers]
             for i in range(workers)]
     parent, children, outs = os.getpid(), [], None
     try:
         pthread_sigmask(SIG_BLOCK, {SIGINT})
-        for ks in runs[1:]:
+        for run in runs[1:]:
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # leaves only through os._exit
                 try:
                     try:
                         pthread_sigmask(SIG_UNBLOCK, {SIGINT})
-                        out = work(k for k in ks if os.getppid() == parent
+                        out = work(k for k in run if os.getppid() == parent
                                    or os._exit(1))
                     except BaseException as exc:
                         out = exc
@@ -344,8 +346,8 @@ def _estimate_bytes(limit: int, threads: int, store: bool = True,
     base = root + 1 + primes + 1024 * 1024
     words = _BLOCK * -(-SEGMENT_SIZE // (64 * _BLOCK))  # a plane's window
     window = 80 * words + 4 * _PERIOD  # bools, patterns, packed planes
-    # Each forked worker's base-prime arrays, and the heap, interpreter and
-    # numpy pages it copies or faults in (VmHWM: 2.4-2.6 MB past a window).
+    # Each forked worker's copies of the base primes, heap, interpreter and
+    # numpy pages it writes or faults in (VmHWM: 2.4-2.6 MB past a window).
     forks = (workers - 1) * (primes + 3 * 1024 * 1024)
 
     def block_counts(n: int) -> int:
@@ -379,7 +381,7 @@ def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     import mmap  # before the guard, which counts them as held
     import numpy as np
     _admit(_estimate_bytes(limit, threads), DEFAULT_MEMORY_BUDGET)
-    primes = small_primes(math.isqrt(limit))
+    window = _windows(limit)
     # Bit j of a row lives in bit j % 64 of word j // 64 and in bit j % 8 of
     # byte j // 8 of the same buffer, whatever the host's byte order.  The
     # zero-filled map is shared, so forked workers write their windows in it.
@@ -388,13 +390,13 @@ def build_sieve(limit: int, *, threads: int = 1) -> PrimeSieve:
     store = planes.view(np.uint8)
     seg_bytes = SEGMENT_SIZE // 8
 
-    def copy_windows(ks: range) -> None:
-        for k, window in _windows(limit, primes, ks):
+    def copy_windows(ks) -> None:
+        for k, words in map(window, ks):
             out = store[:, k * seg_bytes : (k + 1) * seg_bytes]
-            for row, words in zip(out, window):
-                row[:] = words.view(np.uint8)[: len(row)]
+            for row, plane in zip(out, words):
+                row[:] = plane.view(np.uint8)[: len(row)]
 
-    _fan_out(copy_windows, threads, _n_windows(limit))
+    _fan_out(copy_windows, threads, range(_n_windows(limit)))
     # The rank directory, a window's words at a time, each slice offset by
     # the counts before it: its temporaries are a window's, not the store's.
     cum = np.zeros((3, planes.shape[1] // _BLOCK + 1), dtype=np.int64)
@@ -440,12 +442,12 @@ def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
     if n_windows > 1:  # imported before the guard, which counts it as held
         import numpy as np
     _admit(_estimate_bytes(top, threads, False, len(xs)), DEFAULT_MEMORY_BUDGET)
-    primes = small_primes(math.isqrt(top)) if n_windows > 1 else None
+    window = _windows(top) if n_windows > 1 else None
 
-    def count_run(parts):
+    def count_run(ks):
         # Each window's totals of A, B and A & B, and its keys' bits within it.
         totals, run = array("q"), {}
-        for k, (a, b) in _windows(top, primes, (ks[n] for n in parts)):
+        for k, (a, b) in map(window, ks):
             cum, rows = _block_counts(a, b), ((a,), (b,), (a, b))
             hi = bisect_left(js, (k + 1) * size) if k + 1 < n_windows else None
             for j, i in keys[bisect_left(js, k * size) : hi]:
@@ -464,7 +466,7 @@ def count_at(limit: int, xs, *, threads: int = 1) -> PointCounts:
         if n_windows > 1:  # a key past the last window is in the last
             ks = range(n_windows) if points is xs else sorted(
                 {min(j // size, n_windows - 1) for j in js})
-            runs = _fan_out(count_run, threads, len(ks))
+            runs = _fan_out(count_run, threads, ks)
             if points is xs:  # row k: each kind's set bits before window k
                 before = array("q", (0, 0, 0))
                 for t, _ in runs:

@@ -85,6 +85,28 @@ class PrefixCounts:
         return self._upto(self._twin_tops, x)
 
 
+def lucy_pi(n: int) -> int:
+    """pi(n) from Legendre's identity (1808), as Lucy's dynamic program over
+    the values v = n // k: S[v] starts as the count of 2..v, and each
+    p <= sqrt(n) that S itself finds prime (S[p] > S[p - 1]) drops from each
+    v >= p * p the numbers whose least prime factor is p.  O(n ** 0.75)
+    steps, with no sieve and no code of the package."""
+    if n < 2:
+        return 0
+    root = math.isqrt(n)
+    vs = [n // k for k in range(1, root + 1)]
+    vs += range(vs[-1] - 1, 0, -1)
+    S = {v: v - 1 for v in vs}
+    for p in range(2, root + 1):
+        if S[p] > S[p - 1]:
+            below, square = S[p - 1], p * p
+            for v in vs:
+                if v < square:
+                    break
+                S[v] -= S[v // p] - below
+    return S[n]
+
+
 def phi_scan(y: int, r: int, primes: list[int]) -> int:
     """Count 1 <= n <= y with n divisible by none of primes[:r]."""
     lead = primes[:r]

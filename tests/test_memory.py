@@ -54,10 +54,11 @@ def warm_bytecode_cache(tmp_path_factory):
         patch.setenv("PYTHONPYCACHEPREFIX", prefix)
         yield
 
-# Installed in a measured interpreter: each forked worker sends the growth
-# of its VmHWM over its RSS at its first window, keyed by the pass's limit;
-# workers_growth() is the largest sum over the workers of one pass.  The
-# OpenBLAS line is cli.main's, so that numpy starts no thread before a fork.
+# Installed in a measured interpreter: each forked worker sends, after each
+# of its windows, the growth of its VmHWM over its RSS at its first window,
+# keyed by its pid and the pass's limit; workers_growth() is the largest sum
+# over the workers of one pass of each one's last growth.  The OpenBLAS line
+# is cli.main's, so that numpy starts no thread before a fork.
 _WORKERS = """
 import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -70,23 +71,31 @@ def _vm(key):
         return next(int(line.split()[1]) * 1024 for line in f
                     if line.startswith(key))
 
-def _measured(limit, primes, ks):
-    if os.getpid() == _parent:
-        yield from _windows(limit, primes, ks)
-        return
-    start = _vm("VmRSS:")
-    yield from _windows(limit, primes, ks)
-    os.write(_write, f"{limit} {_vm('VmHWM:') - start}\\n".encode())
+def _measured(limit):
+    window, start = _windows(limit), []
+
+    def measured(k):
+        if os.getpid() == _parent:
+            return window(k)
+        start[:] = start or [_vm("VmRSS:")]
+        out = window(k)
+        grown = _vm("VmHWM:") - start[0]
+        os.write(_write, f"{os.getpid()} {limit} {grown}\\n".encode())
+        return out
+    return measured
 
 sieve._windows = _measured
 
 def workers_growth():
     os.close(_write)
-    passes = {}
+    workers = {}
     with os.fdopen(_read) as f:
         for line in f:
-            limit, grown = map(int, line.split())
-            passes[limit] = passes.get(limit, 0) + grown
+            pid, limit, grown = map(int, line.split())
+            workers[pid, limit] = grown
+    passes = {}
+    for (_, limit), grown in workers.items():
+        passes[limit] = passes.get(limit, 0) + grown
     return max(passes.values(), default=0)
 """
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -445,10 +446,14 @@ def _in_a_worker(monkeypatch, act):
     forked one as it starts its run."""
     parent, windows = os.getpid(), sieve_mod._windows
 
-    def hooked(limit, primes, ks):
-        if os.getpid() != parent:
-            act()
-        return windows(limit, primes, ks)
+    def hooked(limit):
+        window = windows(limit)
+
+        def hooked_window(k):
+            if os.getpid() != parent:
+                act()
+            return window(k)
+        return hooked_window
 
     monkeypatch.setattr(sieve_mod, "_windows", hooked)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -494,11 +499,15 @@ def test_workers_are_reaped_and_killed_if_the_parent_fails(monkeypatch):
     _no_child_left()
     parent, windows = os.getpid(), sieve_mod._windows
 
-    def parent_fails(limit, primes, ks):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)  # killed long before
-        return windows(limit, primes, ks)
+    def parent_fails(limit):
+        window = windows(limit)
+
+        def failing_window(k):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # killed long before
+            return window(k)
+        return failing_window
 
     monkeypatch.setattr(sieve_mod, "_windows", parent_fails)
     started = time.monotonic()
@@ -531,7 +540,7 @@ def test_a_second_ctrl_c_waits_until_the_worker_is_reaped(monkeypatch):
     try:
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            sieve_mod._fan_out(work, 2, 2)
+            sieve_mod._fan_out(work, 2, range(2))
         assert time.monotonic() - started < 30
     finally:
         signal.signal(signal.SIGINT, handler)
@@ -564,12 +573,15 @@ from twinprimes import sieve
 sieve.SEGMENT_SIZE = 64
 parent, windows = os.getpid(), sieve._windows
 
-def slow(limit, primes, ks):
-    if os.getpid() == parent:
-        os._exit(0)
-    for window in windows(limit, primes, ks):
+def slow(limit):
+    window = windows(limit)
+
+    def slow_window(k):
+        if os.getpid() == parent:
+            os._exit(0)
         time.sleep(0.02)
-        yield window
+        return window(k)
+    return slow_window
 
 sieve._windows = slow
 sieve.count_at(2 * 10**6, [2 * 10**6], threads=2)
@@ -645,10 +657,13 @@ def test_window_totals_join_to_the_prefix_oracle(oracle_3e5, limit, threads,
           *(primes[pi - 1] for pi in _EDGE_PIS if pi <= len(primes))]
     sieved, windows = [], sieve_mod._windows
 
-    def spy(top, base, ks):
-        for k, words in windows(top, base, ks):
+    def spy(top):
+        window = windows(top)
+
+        def spied(k):
             sieved.append(k)
-            yield k, words
+            return window(k)
+        return spied
 
     with mock.patch.object(os, "cpu_count", lambda: 4), \
             mock.patch.object(sieve_mod, "SEGMENT_SIZE", 64), \
@@ -677,10 +692,13 @@ def test_a_pass_sieves_each_window_once_and_each_pi_window_again(
     sieved, found = [], []
     windows, small = sieve_mod._windows, sieve_mod.small_primes
 
-    def spy(top, base, ks):
-        for k, words in windows(top, base, ks):
+    def spy(top):
+        window = windows(top)
+
+        def spied(k):
             sieved.append(k)
-            yield k, words
+            return window(k)
+        return spied
 
     def small_primes(limit, **kwargs):
         found.append(limit)
@@ -698,6 +716,43 @@ def test_a_pass_sieves_each_window_once_and_each_pi_window_again(
         assert sieved == [*range(n), again], x
         assert found == [math.isqrt(x)], x
     assert counts.count_twins_upto(10**9) == 3_424_506
+
+
+def test_a_count_sets_up_its_window_sieve_once_before_any_fork(monkeypatch):
+    # Two workers over windows of 64 j-values, in both rounds: pi(10**4) =
+    # 1,229 and pi(10**5) = 9,592 lie in windows 3 and 24 of 261, so the
+    # second round forks too.  The base primes are found and the window
+    # sieve set up once, in the caller; a forked worker that set one up
+    # would raise here, and its pass with it.
+    parent, fork = os.getpid(), os.fork
+    windows, small = sieve_mod._windows, sieve_mod.small_primes
+    entered, found, forks = [], [], []
+
+    def spy(limit):
+        assert os.getpid() == parent, "a forked worker set up a window sieve"
+        entered.append(limit)
+        return windows(limit)
+
+    def small_primes(limit, **kwargs):
+        found.append(limit)
+        return small(limit, **kwargs)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 64)
+    monkeypatch.setattr(sieve_mod, "_windows", spy)
+    monkeypatch.setattr(sieve_mod, "small_primes", small_primes)
+    counts = count_at(10**5, [10**4, 10**5], threads=2)
+    assert (counts[10**4], counts[10**5]) == ((1229, 205), (9592, 1224))
+    assert (counts[1229][0], counts[9592][0]) == (201, 1184)
+    assert (entered, found, len(forks)) == ([10**5], [316], 2)
+    _no_child_left()
 
 
 def test_count_at_answers_only_its_points():
@@ -935,8 +990,8 @@ def test_window_totals_are_joined_in_two_copies(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 64)
     empty = np.zeros(0, "<u8")
-    monkeypatch.setattr(sieve_mod, "_windows", lambda limit, primes, ks: (
-        (k, [empty, empty]) for k in ks))
+    monkeypatch.setattr(sieve_mod, "_windows",
+                        lambda limit: lambda k: (k, [empty, empty]))
     limit = 3 * 10**7
     totals = 24 * sieve_mod._n_windows(limit)
     estimate = _estimate_bytes(limit, 1, store=False, points=1)
@@ -999,11 +1054,10 @@ def test_rss_is_what_the_process_holds_now():
 def _window_flags(limit):
     """The flags of both planes that _windows yields for limit, each plane's
     windows end to end; every bit past SEGMENT_SIZE in a window is 0."""
-    primes = small_primes(math.isqrt(limit))
     segment_size = sieve_mod.SEGMENT_SIZE
     ks = range(-(-((limit + 1) // 6) // segment_size))
     planes = ([], [])
-    for k, words in sieve_mod._windows(limit, primes, ks):
+    for k, words in map(sieve_mod._windows(limit), ks):
         for plane, w in zip(planes, words):
             bits = np.unpackbits(w.view(np.uint8), bitorder="little")
             assert not bits[segment_size:].any(), k
@@ -1040,6 +1094,34 @@ def test_window_flags_match_a_plain_sieve(limit, segment_size):
         if limit <= 10**4:
             assert plane[: len(want)].tolist() == [
                 oracles.is_prime_trial(n) for n in range(c, limit + 1, 6)]
+
+
+@pytest.mark.parametrize("plane, c", enumerate(sieve_mod._OFFSETS))
+def test_the_pattern_is_cleared_at_the_residues_of_5_to_13(plane, c,
+                                                          monkeypatch):
+    # With no base prime past 13, window k > 0 of 5,000 j-values is the
+    # pattern read from j = 5,000k mod 5,005, which for k = 1..1,001 is
+    # each multiple of 5 below 5,005.  The rule it replaced is the oracle.
+    want = np.gcd(6 * np.arange(2 * 5005) + c, 5005) == 1
+    monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 5000)
+    monkeypatch.setattr(sieve_mod, "small_primes",
+                        lambda limit: array("q", (2, 3, 5, 7, 11, 13)))
+    window = sieve_mod._windows(6 * 5000 * 1002 + 7)
+    for k in range(1, 1002):
+        bits = np.unpackbits(window(k)[1][plane].view(np.uint8),
+                             bitorder="little")[:5000].astype(bool)
+        start = 5000 * k % 5005
+        assert np.array_equal(bits, want[start : start + 5000]), k
+
+
+def test_lucy_count_gives_a006880_and_the_c10a_constant():
+    # An exact pi(x) that shares no code with the package: pi(10**k) for
+    # k = 1..9 (OEIS A006880), and the pi(3.7 * 10**7) that C10a freezes.
+    assert [oracles.lucy_pi(10**k) for k in range(1, 10)] == [
+        4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+    assert oracles.lucy_pi(37 * 10**6) == 2_261_623
+    assert [oracles.lucy_pi(n) for n in range(-1, 12)] == [
+        0, 0, 0, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5]
 
 
 @pytest.mark.parametrize("segment_size", [8, 64, 2**20])
